@@ -102,7 +102,9 @@ def update_bench_record(path: str, section: str, payload: dict) -> None:
     """Merge one section into a ``BENCH_*.json`` trajectory file.
 
     Shared by the engine and serving throughput benchmarks: preserves the
-    other sections, refreshes the timestamp, and stamps host metadata once.
+    other sections and re-stamps the timestamp and host metadata on every
+    write, so the record always describes the host that last wrote it
+    (``cpus`` is the affinity count — the CPUs this process may run on).
     """
     import json
     import platform
@@ -115,11 +117,11 @@ def update_bench_record(path: str, section: str, payload: dict) -> None:
         with open(path, "r", encoding="utf-8") as handle:
             record = json.load(handle)
     record["created"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    record.setdefault("host", {
-        "cpus": os.cpu_count(),
+    record["host"] = {
+        "cpus": len(os.sched_getaffinity(0)),
         "numpy": np.__version__,
         "python": platform.python_version(),
-    })
+    }
     record[section] = payload
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=2, sort_keys=False)

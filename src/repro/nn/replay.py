@@ -118,8 +118,9 @@ class ReplayStats:
     with the reasons tallied in :attr:`fallbacks` (reason → count).  On a
     static loop with replay enabled, ``eager_steps`` — and therefore
     ``fallback_count`` — must be zero; the pipeline regression tests assert
-    exactly that.  Increments are lock-protected so one instance can collect
-    across the parallel controller's worker threads.
+    exactly that.  Increments are lock-protected because the collection
+    scope is process-global: a loop on any thread of the process (a
+    training thread inside a serving process, say) reports into it.
     """
 
     def __init__(self) -> None:
@@ -167,8 +168,9 @@ def collect_replay_stats(stats: ReplayStats):
     The :class:`~repro.core.Controller` wraps its run in this scope when
     ``ControllerConfig.replay_stats`` is set, so one counter aggregates every
     training loop in the pipeline (module fine-tuning, the ZSL-KG pretrain,
-    FixMatch's two-view step, end-model distillation) — including loops run
-    by the parallel controller's worker threads.
+    FixMatch's two-view step, end-model distillation).  The scope is
+    process-global: a stepper created on any thread while it is open
+    reports here.
     """
     _AMBIENT_SINKS.append(stats)
     try:

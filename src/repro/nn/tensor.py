@@ -26,8 +26,9 @@ ArrayLike = Union[np.ndarray, float, int, Sequence]
 # Engine configuration: default dtype and gradient mode
 # --------------------------------------------------------------------------- #
 # The default dtype is process-global (set once before building models); the
-# gradient mode is thread-local so the parallel controller can run inference
-# in one module's thread without disturbing training in another.
+# gradient mode is thread-local so a serving thread can run a ``no_grad``
+# forward without switching off the tape of a training loop on another
+# thread of the same process.
 _DEFAULT_DTYPE = np.float64
 
 # Engine-wide feature switches.  ``fused_ops`` lets benchmarks and gradient
@@ -52,8 +53,8 @@ _GRAD_MODE = threading.local()
 # fused losses append ``("loss", kind, logits, targets, extra, out)``.  The
 # replay compiler (:mod:`repro.nn.replay`) runs one eager training step under
 # this context and reconstructs the op DAG from the records.  Thread-local so
-# the parallel controller can trace one module's training loop while another
-# thread trains eagerly.
+# the forwards a serving thread runs are never recorded into the trace of a
+# training loop on another thread.
 _TRACE = threading.local()
 
 
@@ -79,7 +80,8 @@ def trace_ops(records: List[tuple]):
 # its inputs, creation order is a valid topological order of any autograd
 # graph, which lets ``backward`` sort reachable nodes with a single C-level
 # sort instead of a two-phase DFS.  ``itertools.count`` is atomic in CPython,
-# so the stamp is safe under the parallel controller's threads.
+# so the stamp stays unique when serving threads create tensors alongside a
+# training thread.
 _SEQ = itertools.count()
 
 

@@ -12,7 +12,8 @@ With ``--fleet N`` the models are served by N **worker processes** behind a
 routing front end (health checks, retry-on-death, respawn) instead of one
 in-process server — same port, same client API, but throughput scales past
 the GIL on multi-core hosts.  ``--shard`` partitions the models across the
-fleet instead of replicating all of them on every worker.
+fleet instead of replicating all of them on every worker.  SIGINT and
+SIGTERM both stop the server and every fleet worker it spawned.
 
 With ``--demo``, a small synthetic workspace is built, the TAGLETS pipeline
 is trained end to end, the end model *and* the taglet ensemble are exported
@@ -23,6 +24,7 @@ to a temporary directory, and the server starts on both (``default`` and
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 import tempfile
 from typing import List, Tuple
@@ -135,7 +137,6 @@ def _attach_capacity(server: Server, model_name: str,
               f"{args.autotune_rate:.0f} req/s: "
               f"max_batch_size={tuned.max_batch_size} "
               f"max_latency_ms={tuned.max_latency_ms} "
-              f"num_workers={tuned.num_workers} "
               f"(predicted p99 {prediction.p99_ms:.1f} ms, capacity "
               f"{prediction.capacity:.0f} req/s)", flush=True)
     if args.admission_max_delay_ms is not None:
@@ -166,10 +167,6 @@ def main(argv=None) -> int:
                         help="max time the first request waits for a batch")
     parser.add_argument("--cache-size", type=int, default=1024,
                         help="LRU prediction-cache entries (0 disables)")
-    parser.add_argument("--num-workers", type=int, default=1,
-                        help="worker threads per model draining the batch "
-                             "queue (forwards release the GIL; >1 overlaps "
-                             "forwards on multi-core hosts)")
     parser.add_argument("--fleet", type=int, default=0, metavar="N",
                         help="serve with N worker processes behind a routing "
                              "front end (health checks, retry, respawn) "
@@ -203,11 +200,13 @@ def main(argv=None) -> int:
                              "queue wait exceeds this budget, or whose own "
                              "deadline cannot be met (single-process only)")
     args = parser.parse_args(argv)
+    # SIGTERM (what `kill` and service managers send) takes the Ctrl-C
+    # teardown below, so fleet workers never outlive this process.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
 
     batching = BatchingConfig(max_batch_size=args.max_batch_size,
                               max_latency_ms=args.max_latency_ms,
-                              cache_size=args.cache_size,
-                              num_workers=args.num_workers)
+                              cache_size=args.cache_size)
 
     models = _parse_models(args)
     if args.demo:

@@ -31,10 +31,10 @@ Serving forwards are **compiled**: at load time the rebuilt Linear/ReLU
 chain is flattened into a plan of raw NumPy kernels that replay the engine's
 ops bit-for-bit (``x @ W``, ``+= b``, ``x * (x > 0)``) in the artifact's own
 dtype.  The compiled path touches no process-global engine state, so
-concurrent forwards need no lock — which is what lets the multi-worker
-micro-batcher (``BatchingConfig.num_workers``) genuinely overlap forwards.
-An unexpected architecture falls back to the tape-based module forward under
-a global lock (the engine's default dtype is process-global).
+concurrent forwards need no lock — the serving threads (one batcher drain
+thread per loaded model, plus any caller of ``predict_proba``) never wait on
+each other.  An unexpected architecture falls back to the tape-based module
+forward under a global lock (the engine's default dtype is process-global).
 """
 
 from __future__ import annotations
@@ -355,8 +355,8 @@ def _compile_forward(model: ClassificationModel) -> Optional[
     ``+= b`` (:func:`repro.nn.functional.linear`) and ``x * (x > 0)``
     (``Tensor.relu``) — in the weights' own dtype, touching no process-global
     engine state: no tape, no default-dtype flip, no lock.  Concurrent calls
-    are safe (the plan only reads the weight arrays), which is what the
-    multi-worker micro-batcher relies on.  Returns ``None`` when the model
+    are safe (the plan only reads the weight arrays), so the batcher threads
+    of different models never serialize.  Returns ``None`` when the model
     contains a layer the compiler does not know, and the servable falls back
     to the locked module forward.
     """

@@ -200,22 +200,18 @@ class Server:
         """
         with self._lock:
             self._reap_drained_locked()
-            live = {key: entry[1] for key, entry in self._batchers.items()}
-            draining = {key: list(batchers)
-                        for key, batchers in self._draining.items()}
+            batchers = {key: list(group)
+                        for key, group in self._draining.items()}
+            for key, entry in self._batchers.items():
+                batchers.setdefault(key, []).append(entry[1])
             retired = {key: stats.copy()
                        for key, stats in self._retired.items()}
         merged: Dict[str, dict] = {}
-        for key in set(live) | set(draining) | set(retired):
+        for key in set(batchers) | set(retired):
             stats = retired.get(key, BatcherStats())
-            for batcher in draining.get(key, []):
+            for batcher in batchers.get(key, []):
                 stats.add(batcher.snapshot())
-            batcher = live.get(key)
-            if batcher is not None:
-                stats.add(batcher.snapshot())
-                merged[f"{key[0]}@{key[1]}"] = batcher.stats(merged=stats)
-            else:
-                merged[f"{key[0]}@{key[1]}"] = stats.as_dict()
+            merged[f"{key[0]}@{key[1]}"] = stats.as_dict()
         return merged
 
     def models(self) -> Dict[str, dict]:
@@ -226,7 +222,8 @@ class Server:
         """The ``GET /healthz`` payload: real routing/balancing signal.
 
         Beyond liveness, reports the loaded ``name@version`` list (shard
-        manifest), total queued requests, and batcher-worker counts — what
+        manifest), total queued requests, and batcher drain-thread counts
+        (``expected`` is one per batcher, ``alive`` those running) — what
         a fleet router's health checks need to route, balance, and decide
         when a draining replica has actually gone quiet.
         """
@@ -237,14 +234,12 @@ class Server:
             closed, draining = self._closed, self._drain_flag
         queue_depth = sum(batcher.queue_depth() for batcher in batchers)
         workers_alive = sum(batcher.workers_alive() for batcher in batchers)
-        workers_expected = sum(batcher.config.num_workers
-                               for batcher in batchers)
         status = "closed" if closed else ("draining" if draining else "ok")
         return {
             "status": status,
             "draining": draining,
             "queue_depth": queue_depth,
-            "workers": {"alive": workers_alive, "expected": workers_expected},
+            "workers": {"alive": workers_alive, "expected": len(batchers)},
             "models": self.registry.manifest(),
         }
 
@@ -291,7 +286,6 @@ class Server:
             "batching": {
                 "max_batch_size": self.batching.max_batch_size,
                 "max_latency_ms": self.batching.max_latency_ms,
-                "num_workers": self.batching.num_workers,
                 "max_queue_size": self.batching.max_queue_size,
             },
             "model": None,
@@ -313,7 +307,6 @@ class Server:
                     "max_batch_size": self.batching.max_batch_size,
                     "max_latency_ms": self.batching.max_latency_ms,
                     "cache_size": self.batching.cache_size,
-                    "num_workers": self.batching.num_workers,
                 },
                 "stats": self.stats()}
 

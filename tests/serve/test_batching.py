@@ -25,8 +25,6 @@ class TestConfig:
             BatchingConfig(max_latency_ms=-1)
         with pytest.raises(ValueError):
             BatchingConfig(cache_size=-1)
-        with pytest.raises(ValueError):
-            BatchingConfig(num_workers=0)
 
 
 class TestFanOutFanIn:
@@ -229,9 +227,8 @@ class TestErrorsAndLifecycle:
         model = GatedModel()
         batcher = MicroBatcher(model, BatchingConfig(max_batch_size=1,
                                                      max_latency_ms=0,
-                                                     cache_size=0,
-                                                     num_workers=2))
-        assert batcher.workers_alive() == 2
+                                                     cache_size=0))
+        assert batcher.workers_alive() == 1
         assert batcher.queue_depth() == 0
         first = batcher.submit(np.ones(2))
         assert model.entered.wait(timeout=10)

@@ -76,26 +76,28 @@ class TestCapacityModel:
         assert large > 2 * small
 
     def test_workers_beyond_cpus_add_nothing(self):
-        model = self.model(cpus=1)
-        one = model.capacity(BatchingConfig(max_batch_size=8, num_workers=1))
-        two = model.capacity(BatchingConfig(max_batch_size=8, num_workers=2))
+        """Worker processes past the core count model as no-ops."""
+        config = BatchingConfig(max_batch_size=8)
+        one = self.model(cpus=1, replicas=1).capacity(config)
+        two = self.model(cpus=1, replicas=2).capacity(config)
         assert two == pytest.approx(one)
 
     def test_workers_scale_capacity_given_cores(self):
-        model = self.model(cpus=4)
-        one = model.capacity(BatchingConfig(max_batch_size=8, num_workers=1))
-        two = model.capacity(BatchingConfig(max_batch_size=8, num_workers=2))
+        config = BatchingConfig(max_batch_size=8)
+        one = self.model(cpus=4, replicas=1).capacity(config)
+        two = self.model(cpus=4, replicas=2).capacity(config)
         assert two > 1.5 * one
 
     def test_replicas_pool_like_workers(self):
-        doubled = CapacityModel(
-            ServiceModel(base_s=BASE_S, per_row_s=PER_ROW_S), replicas=2,
-            cpus=8)
-        single = CapacityModel(
-            ServiceModel(base_s=BASE_S, per_row_s=PER_ROW_S), replicas=1,
-            cpus=8)
+        """Replicas pool into one M/D/c queue: at the same arrival rate a
+        second replica shortens the predicted queueing delay too."""
         config = BatchingConfig(max_batch_size=8)
-        assert doubled.capacity(config) > 1.5 * single.capacity(config)
+        single = self.model(cpus=8)
+        doubled = self.model(cpus=8, replicas=2)
+        rate = 0.8 * single.capacity(config)
+        assert doubled.servers == 2
+        assert doubled.predict(config, rate).p99_ms \
+            < single.predict(config, rate).p99_ms
 
     def test_unsaturated_prediction(self):
         model = self.model()
@@ -159,10 +161,10 @@ class TestAutotune:
     def test_prefers_cheaper_configs(self):
         model = self.model()
         lax, _ = model.autotune(SLO(p99_ms=10_000.0), arrival_rate=10.0)
-        # A laughably lax SLO at trivial load needs one worker and the
-        # smallest batch the grid offers.
-        assert lax.num_workers == 1
+        # A laughably lax SLO at trivial load needs the smallest batch and
+        # window the grid offers.
         assert lax.max_batch_size == 1
+        assert lax.max_latency_ms == 0.0
 
     def test_tight_slo_needs_bigger_batches_than_lax(self):
         model = self.model()

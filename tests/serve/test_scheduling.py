@@ -1,4 +1,4 @@
-"""Tests for traffic shaping: priorities, deadlines, multi-worker batchers."""
+"""Tests for traffic shaping: priorities, deadlines, concurrent clients."""
 
 import threading
 import time
@@ -136,10 +136,13 @@ class TestDeadlines:
 
 
 class TestMultiWorker:
+    """Several client threads sharing one batcher and its drain thread."""
+
     def test_results_bit_identical_to_quantized_offline(self):
-        """Bit-determinism survives concurrent workers: every forward runs
+        """Bit-determinism survives concurrent clients: every forward runs
         at the fixed quantum, and a row's result is a pure function of
-        (row, weights, batch row count) — not of which worker ran it."""
+        (row, weights, batch row count) — not of which requests happened
+        to share its batch."""
         rng = np.random.default_rng(21)
         weights = rng.normal(size=(6, 4))
 
@@ -149,7 +152,7 @@ class TestMultiWorker:
         inputs = rng.normal(size=(200, 6))
         reference = run_at_quantum(forward, inputs, 8)
         config = BatchingConfig(max_batch_size=8, max_latency_ms=2,
-                                cache_size=0, num_workers=3)
+                                cache_size=0)
         results = np.zeros((200, 4))
         errors = []
         with MicroBatcher(forward, config) as batcher:
@@ -171,60 +174,13 @@ class TestMultiWorker:
         assert not errors
         assert np.array_equal(results, reference)
 
-    def test_workers_overlap_forwards(self):
-        """Two workers must genuinely run two forwards at the same time
-        (forwards sleep, releasing the GIL like a BLAS call does)."""
-        lock = threading.Lock()
-        state = {"active": 0, "max_active": 0}
-
-        def slow(batch):
-            with lock:
-                state["active"] += 1
-                state["max_active"] = max(state["max_active"],
-                                          state["active"])
-            time.sleep(0.05)
-            with lock:
-                state["active"] -= 1
-            return batch.copy()
-
-        config = BatchingConfig(max_batch_size=1, max_latency_ms=0,
-                                cache_size=0, num_workers=2)
-        with MicroBatcher(slow, config) as batcher:
-            futures = [batcher.submit(np.ones(2)) for _ in range(6)]
-            for future in futures:
-                future.result(timeout=30)
-        assert state["max_active"] == 2
-
-    def test_per_worker_stats_roll_up(self):
-        config = BatchingConfig(max_batch_size=4, max_latency_ms=1,
-                                cache_size=0, num_workers=2)
-        with MicroBatcher(lambda b: b.copy(), config) as batcher:
-            futures = [batcher.submit(np.ones(2)) for _ in range(40)]
-            for future in futures:
-                future.result(timeout=30)
-            stats = batcher.stats()
-        assert stats["num_workers"] == 2
-        assert stats["requests"] == 40
-        per_worker = stats["per_worker"]
-        assert len(per_worker) == 2
-        assert sum(w["batches"] for w in per_worker) == stats["batches"]
-        assert sum(w["batched_examples"] for w in per_worker) == 40
-
-    def test_close_answers_everything_with_multiple_workers(self):
-        for _ in range(5):
-            batcher = MicroBatcher(lambda b: b.copy(),
-                                   BatchingConfig(max_latency_ms=0,
-                                                  cache_size=0,
-                                                  num_workers=3))
-            futures = [batcher.submit(np.ones(2)) for _ in range(30)]
-            batcher.close()
-            for future in futures:
-                assert np.array_equal(future.result(timeout=10), np.ones(2))
-
     def test_single_worker_stats_have_no_per_worker_breakdown(self):
+        """``stats()`` is exactly the counter snapshot — no per-thread
+        rollup keys ride along."""
         with MicroBatcher(lambda b: b.copy(),
                           BatchingConfig(cache_size=0)) as batcher:
             batcher.predict(np.ones(2), timeout=10)
-            stats = batcher.stats()
-        assert stats["num_workers"] == 1
+        stats = batcher.stats()   # closed: the drain thread has exited
+        assert stats == batcher.snapshot().as_dict()
+        assert stats["requests"] == stats["served"] == 1
         assert "per_worker" not in stats

@@ -67,11 +67,9 @@ class TestServerApi:
         server.predict(features[:2])
         stats = server.stats()
         assert stats["default@1"]["requests"] >= 1
-        assert stats["default@1"]["num_workers"] == 1
         description = server.describe()
         assert json.dumps(description)
         assert description["batching"]["max_batch_size"] == 16
-        assert description["batching"]["num_workers"] == 1
 
     def test_stats_survive_a_hot_swap(self, server, artifact_dir, tmp_path,
                                       features):
@@ -326,12 +324,21 @@ class TestHttpEndpoint:
         ({"inputs": [1.0, 2.0]}, "features per row"),
         ({"inputs": [[1.0] * 24], "priority": "urgent"}, "priority"),
         ({"inputs": [[1.0] * 24], "deadline_ms": "soon"}, "deadline_ms"),
+        # Valid JSON that is not an object used to crash the handler, which
+        # dropped the connection without any response.
+        ([1, 2], "object"),
+        ("x", "object"),
     ])
-    def test_bad_requests_are_400(self, endpoint, payload, fragment):
+    def test_bad_requests_are_400(self, endpoint, servable, features,
+                                  payload, fragment):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             self._post(endpoint, payload)
         assert excinfo.value.code == 400
         assert fragment in json.loads(excinfo.value.read())["error"]
+        # The bad request failed alone: the server still answers.
+        response = self._post(endpoint, {"inputs": features[:2].tolist()})
+        assert response["predictions"] == servable.predict(
+            features[:2]).tolist()
 
     def test_expired_deadline_is_504(self, endpoint, features):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
