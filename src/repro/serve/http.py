@@ -5,6 +5,17 @@ connection on its own thread, and those threads all feed the same
 micro-batching queue, so concurrent HTTP clients are fused into shared
 forwards exactly like in-process callers.
 
+Connections are HTTP/1.1 keep-alive: a client (or the fleet router's
+connection pool) sends request after request on one TCP connection, and
+its handler thread lives as long as the connection does.  Every accepted
+socket has ``TCP_NODELAY`` set — a reply goes out as two writes (headers,
+then body), and with Nagle's algorithm on, the second write waits for the
+client's delayed ACK, stalling every keep-alive request by ~40 ms.
+Framing rule: a reply sent *before* the request body has been read (an
+unknown POST path, a disabled admin plane, a missing, invalid or
+oversized ``Content-Length``) carries ``Connection: close`` and closes the
+connection, so the unread body can never be parsed as the next request.
+
 Routes::
 
     GET  /healthz   -> {"status": "ok", "draining": false, "queue_depth": 0,
@@ -68,6 +79,7 @@ class _ServeHandler(BaseHTTPRequestHandler):
     """Dispatches HTTP requests to the attached :class:`Server`."""
 
     server_version = "repro-serve/3.0"
+    protocol_version = "HTTP/1.1"
     #: the attached Server (or Router) instance (set by :func:`make_http_server`)
     serve_app: Server
     #: whether the /admin/* control plane is exposed (fleet workers only)
@@ -76,16 +88,31 @@ class _ServeHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------ #
     # Plumbing
     # ------------------------------------------------------------------ #
-    def _send_json(self, payload: dict, status: int = 200) -> None:
+    def setup(self) -> None:
+        super().setup()
+        self.connection.setsockopt(socket_module.IPPROTO_TCP,
+                                   socket_module.TCP_NODELAY, 1)
+
+    def _send_json(self, payload: dict, status: int = 200,
+                   close: bool = False) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            # Also sets self.close_connection (BaseHTTPRequestHandler).
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _send_error_json(self, status: int, message: str) -> None:
         self._send_json({"error": message}, status=status)
+
+    def _reject_unread(self, status: int, message: str) -> None:
+        """An error reply sent before the request body was read: close the
+        connection, or the unread body would be parsed as the next
+        request on it."""
+        self._send_json({"error": message}, status=status, close=True)
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # request logging is the caller's business, not stderr's
@@ -119,13 +146,13 @@ class _ServeHandler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length", 0))
         except ValueError:
-            self._send_error_json(400, "invalid Content-Length")
+            self._reject_unread(400, "invalid Content-Length")
             return None
         if length <= 0:
-            self._send_error_json(400, "request body required (JSON)")
+            self._reject_unread(400, "request body required (JSON)")
             return None
         if length > MAX_BODY_BYTES:
-            self._send_error_json(
+            self._reject_unread(
                 413, f"request body of {length} bytes exceeds the "
                      f"{MAX_BODY_BYTES}-byte limit — split the batch")
             return None
@@ -167,7 +194,7 @@ class _ServeHandler(BaseHTTPRequestHandler):
         app = type(self).serve_app
         if self.path.startswith("/admin/"):
             if not type(self).admin_enabled:
-                self._send_error_json(
+                self._reject_unread(
                     404, "admin endpoints are not enabled on this server")
                 return
             payload = self._read_json_body()
@@ -175,7 +202,7 @@ class _ServeHandler(BaseHTTPRequestHandler):
                 self._do_admin(payload)
             return
         if self.path != "/predict":
-            self._send_error_json(404, f"unknown path {self.path!r}")
+            self._reject_unread(404, f"unknown path {self.path!r}")
             return
         payload = self._read_json_body()
         if payload is None:

@@ -45,6 +45,7 @@ The failure/retry matrix (also in ``docs/serving.md``):
 replica answered      meaning                     router action
 ====================  ==========================  =========================
 connection error      process died / port gone    mark down, retry elsewhere
+stale pooled conn     worker respawned since use  one fresh reconnect, not a failover
 200                   served                      return
 200 past deadline     answer arrived too late     raise 504 — never serve late
 400 / 413             malformed request           raise — no retry anywhere
@@ -96,7 +97,7 @@ class RouterConfig:
     #: never retries more than ``max_attempts`` times.
     retry_backoff_ms: float = 20.0
     retry_backoff_cap_ms: float = 400.0
-    #: persistent connections kept per replica
+    #: idle keep-alive connections kept per replica
     pool_size: int = 8
 
     def __post_init__(self) -> None:
@@ -107,7 +108,7 @@ class RouterConfig:
 
 
 class _ConnectionPool:
-    """A small stack of persistent HTTP connections to one replica."""
+    """A small stack of keep-alive HTTP connections to one replica."""
 
     def __init__(self, host: str, port: int, capacity: int):
         self.host = host
@@ -116,20 +117,32 @@ class _ConnectionPool:
         self._idle: List[http.client.HTTPConnection] = []
         self._lock = threading.Lock()
 
-    def acquire(self, timeout: float) -> http.client.HTTPConnection:
+    def acquire(self, timeout: float
+                ) -> Tuple[http.client.HTTPConnection, bool]:
+        """An idle connection (reused) or a new one; returns
+        ``(connection, reused)``.
+
+        A reused connection's open socket is given the caller's
+        ``timeout``: ``HTTPConnection.timeout`` only applies when a socket
+        is opened.
+        """
         with self._lock:
-            if self._idle:
-                connection = self._idle.pop()
-                connection.timeout = timeout
-                return connection
+            connection = self._idle.pop() if self._idle else None
+        if connection is None:
+            return self.connect(timeout), False
+        connection.sock.settimeout(timeout)
+        return connection, True
+
+    def connect(self, timeout: float) -> http.client.HTTPConnection:
         return http.client.HTTPConnection(self.host, self.port,
                                           timeout=timeout)
 
     def release(self, connection: http.client.HTTPConnection) -> None:
-        with self._lock:
-            if len(self._idle) < self.capacity:
-                self._idle.append(connection)
-                return
+        if connection.sock is not None:     # None: the replica closed it
+            with self._lock:
+                if len(self._idle) < self.capacity:
+                    self._idle.append(connection)
+                    return
         connection.close()
 
     def close(self) -> None:
@@ -181,16 +194,26 @@ class ReplicaHandle:
                 timeout: float = 60.0) -> Tuple[int, dict]:
         """One HTTP exchange with this replica over a pooled connection.
 
-        Raises ``OSError`` (or an ``http.client`` protocol error) on any
-        transport-level failure — the signal the router retries on.
+        A pooled connection may have gone stale while idle (its worker
+        was killed and respawned on the same port): a transport error on
+        a *reused* connection is retried once on a fresh one.  A timeout
+        is not retried — the replica accepted the request and did not
+        answer.  Raises ``OSError`` (or an ``http.client`` protocol error)
+        on any other transport-level failure — the signal the router
+        retries on.
         """
-        connection = self.pool.acquire(timeout)
+        connection, reused = self.pool.acquire(timeout)
         try:
-            headers = {"Content-Type": "application/json"} if body else {}
-            connection.request(method, path, body=body, headers=headers)
-            response = connection.getresponse()
-            raw = response.read()   # must drain before the conn is reusable
-            status = response.status
+            try:
+                status, raw = self._exchange(connection, method, path, body)
+            except TimeoutError:
+                raise
+            except (OSError, http.client.HTTPException):
+                if not reused:
+                    raise
+                connection.close()
+                connection = self.pool.connect(timeout)
+                status, raw = self._exchange(connection, method, path, body)
         except BaseException:
             connection.close()
             raise
@@ -200,6 +223,15 @@ class ReplicaHandle:
         except (json.JSONDecodeError, UnicodeDecodeError):
             payload = {"error": raw.decode("utf-8", "replace")}
         return status, payload
+
+    @staticmethod
+    def _exchange(connection: http.client.HTTPConnection, method: str,
+                  path: str, body: Optional[bytes]) -> Tuple[int, bytes]:
+        headers = {"Content-Type": "application/json"} if body else {}
+        connection.request(method, path, body=body, headers=headers)
+        response = connection.getresponse()
+        raw = response.read()   # must drain before the conn is reusable
+        return response.status, raw
 
     def describe(self) -> dict:
         return {"address": f"{self.host}:{self.port}",

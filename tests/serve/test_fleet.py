@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -277,6 +278,52 @@ class TestFleetResilience:
                                                for replica_id
                                                in fleet.replica_ids()}
             assert fleet.router.replica(victim).respawns >= 1
+
+    def test_stale_pooled_connection_reconnects_without_failover(
+            self, artifacts, inputs, monkeypatch):
+        """A keep-alive connection pooled before a SIGKILL is stale once
+        the worker respawns on the same port: reusing it costs one fresh
+        reconnect, not a transport failure or a failover."""
+        offline = offline_proba(artifacts["v1"], inputs[:2])
+        specs = replicated_specs([("m", artifacts["v1"])], 1)
+        with ServingFleet(specs, fast_fleet_config()) as fleet:
+            victim = fleet.replica_ids()[0]
+            host, port = fleet.addresses()[victim]
+            # A router of the test's own, without a health monitor: only
+            # the requests below touch its pool.
+            router = Router(RouterConfig(max_attempts=2, retry_backoff_ms=1,
+                                         request_timeout=30.0))
+            pool = router.add_replica(victim, host, port, models=["m"]).pool
+            opened = []
+            connect = pool.connect
+
+            def counting(timeout):
+                opened.append(port)
+                return connect(timeout)
+
+            monkeypatch.setattr(pool, "connect", counting)
+            try:
+                first = router.predict(inputs[0], model="m",
+                                       return_probabilities=True)
+                assert opened == [port]
+                respawns = fleet.router.replica(victim).respawns
+                fleet.kill_replica(victim)
+                deadline = time.monotonic() + 30
+                while (fleet.router.replica(victim).respawns == respawns
+                       or not fleet.processes_alive()[victim]):
+                    assert time.monotonic() < deadline, "no respawn"
+                    time.sleep(0.05)
+                assert fleet.router.wait_healthy(1, timeout=30)
+                second = router.predict(inputs[1], model="m",
+                                        return_probabilities=True)
+                assert opened == [port, port]   # the stale one, then fresh
+                assert router.replica(victim).transport_failures == 0
+                assert router.stats()["_router"]["failovers"] == 0
+            finally:
+                router.close()
+            served = np.stack([np.asarray(reply["probabilities"][0])
+                               for reply in (first, second)])
+            assert np.array_equal(served, offline)
 
     def test_sharded_fleet_partitions_model_space(self, artifacts, inputs):
         specs = sharded_specs([("left", artifacts["v1"]),

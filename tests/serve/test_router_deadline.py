@@ -18,6 +18,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -35,9 +36,12 @@ class _StubApp:
     codes, error bodies) is exactly what a real replica would produce.
     """
 
-    def __init__(self, behavior: str = "ok", delay_s: float = 0.0):
+    def __init__(self, behavior: str = "ok", delay_s: float = 0.0,
+                 health_gate: Optional[threading.Event] = None):
         self.behavior = behavior
         self.delay_s = delay_s
+        #: when set, ``/healthz`` answers only once the event is set
+        self.health_gate = health_gate
         self.calls = 0
         self._lock = threading.Lock()
 
@@ -54,6 +58,8 @@ class _StubApp:
 
     # the rest of the app surface, for health probes and stats merges
     def health(self):
+        if self.health_gate is not None:
+            self.health_gate.wait(timeout=30)
         return {"status": "ok", "draining": False, "queue_depth": 0,
                 "workers": {"alive": 1, "expected": 1}, "models": ["default@1"]}
 
@@ -74,6 +80,9 @@ def serve_stub():
 
     def start(app: _StubApp):
         httpd = make_http_server(app, port=0)
+        # A reply to a client that has given up (a timed-out probe) fails
+        # with a broken pipe; that is expected here, not worth a traceback.
+        httpd.handle_error = lambda request, client_address: None
         thread = threading.Thread(target=httpd.serve_forever, daemon=True)
         thread.start()
         httpds.append(httpd)
@@ -184,3 +193,32 @@ class TestAdmissionShedFailover:
         with pytest.raises(Overloaded, match="shedding"):
             router.predict(INPUT)
         router.close()
+
+
+class TestPooledConnectionTimeouts:
+    def test_probe_on_a_reused_connection_honours_probe_timeout(
+            self, serve_stub, monkeypatch):
+        """A keep-alive connection last used by a /predict (30 s timeout)
+        and reused by a health probe times out at the probe's 0.2 s."""
+        gate = threading.Event()
+        host, port = serve_stub(_StubApp("ok", health_gate=gate))
+        router = Router(RouterConfig(request_timeout=30.0, probe_timeout=0.2))
+        pool = router.add_replica("stalls", host, port,
+                                  models=["default"]).pool
+        opened = []
+        connect = pool.connect
+        monkeypatch.setattr(pool, "connect",
+                            lambda timeout: opened.append(timeout)
+                            or connect(timeout))
+        try:
+            assert router.predict(INPUT)["predictions"] == [0]
+            started = time.perf_counter()
+            assert router.probe("stalls") is False
+            elapsed = time.perf_counter() - started
+            # The probe reused the /predict connection (no second connect)
+            # and was not retried on a fresh one after timing out.
+            assert opened == [30.0]
+            assert elapsed < 2.0, f"probe waited {elapsed:.1f}s"
+        finally:
+            gate.set()
+            router.close()
