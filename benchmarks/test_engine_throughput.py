@@ -278,8 +278,8 @@ def _run_controller(task, dtype, compat: bool,
     import contextlib
     timings = []
     for _ in range(repeats):
-        # Clear the ZSL-KG pretraining cache so every run trains from scratch.
-        ZslKgModule._pretrained_cache.clear()
+        # Empty the ZSL-KG pretrain store so every run trains from scratch.
+        ZslKgModule.pretrained_store.clear()
         config = ControllerConfig(dtype=dtype, replay=replay, seed=0)
         controller = Controller(config=config)  # the four default modules
         start = time.perf_counter()

@@ -19,8 +19,9 @@ to the number of shots — visible as the flat ZSL-KG line in Figure 5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+import weakref
+from dataclasses import astuple, dataclass, replace
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -101,13 +102,52 @@ class ZslKgTaglet(Taglet):
         return exp / exp.sum(axis=1, keepdims=True)
 
 
+class PretrainStore:
+    """Pretrained class-encoder states of live (backbone, graph) pairs.
+
+    Within a pair, a state is keyed on everything the pretrain reads besides
+    those two objects: the seed, the engine dtype and the pretraining
+    fields of :class:`ZslKgConfig`.  A pair's entries are evicted as soon
+    as its backbone or its graph is garbage-collected, so a later object
+    that happens to reuse a dead one's ``id()`` never sees its state.
+    """
+
+    def __init__(self) -> None:
+        self._pairs: Dict[Tuple[int, int], Dict[tuple, Dict[str, np.ndarray]]] = {}
+        self._watched: Dict[int, weakref.finalize] = {}
+
+    def get(self, backbone, graph, key: tuple) -> Optional[Dict[str, np.ndarray]]:
+        return self._pairs.get((id(backbone), id(graph)), {}).get(key)
+
+    def put(self, backbone, graph, key: tuple,
+            state: Dict[str, np.ndarray]) -> None:
+        for obj in (backbone, graph):
+            if id(obj) not in self._watched:
+                self._watched[id(obj)] = weakref.finalize(obj, self._forget,
+                                                          id(obj))
+        self._pairs.setdefault((id(backbone), id(graph)), {})[key] = state
+
+    def _forget(self, oid: int) -> None:
+        self._watched.pop(oid, None)
+        for pair in list(self._pairs):
+            if oid in pair:
+                self._pairs.pop(pair, None)
+
+    def clear(self) -> None:
+        """Drop every stored state (e.g. between timed or compared runs)."""
+        self._pairs.clear()
+
+    def __len__(self) -> int:
+        return sum(len(states) for states in self._pairs.values())
+
+
 class ZslKgModule(TrainingModule):
     """Zero-shot taglet driven by the knowledge graph in SCADS."""
 
     name = "zsl_kg"
 
-    #: cache of pretrained class encoders keyed by (backbone identity, graph identity)
-    _pretrained_cache: Dict[Tuple[int, int], Dict[str, np.ndarray]] = {}
+    #: pretrained class encoders shared by every instance (see PretrainStore)
+    pretrained_store = PretrainStore()
 
     def __init__(self, config: Optional[ZslKgConfig] = None):
         self.config = config or ZslKgConfig()
@@ -138,12 +178,15 @@ class ZslKgModule(TrainingModule):
                   seed: int) -> Dict[str, np.ndarray]:
         # The engine dtype is part of the key: float32-mode pretrain weights
         # must not silently leak into a later float64 run (or vice versa).
-        cache_key = (id(backbone), id(bundle.scads.graph),
-                     np.dtype(get_default_dtype()).name)
-        if cache_key in self._pretrained_cache:
-            return self._pretrained_cache[cache_key]
-
+        # logit_scale is the one config field the pretrain does not read.
         config = self.config
+        graph = bundle.scads.graph
+        key = (seed, np.dtype(get_default_dtype()).name,
+               astuple(replace(config, logit_scale=None)))
+        cached = self.pretrained_store.get(backbone, graph, key)
+        if cached is not None:
+            return cached
+
         rng = np.random.default_rng(seed)
         encoder = backbone.instantiate(rng=rng)
         encoder.eval()
@@ -197,7 +240,7 @@ class ZslKgModule(TrainingModule):
                 best_val = val_loss
                 best_state = class_encoder.state_dict()
 
-        self._pretrained_cache[cache_key] = best_state
+        self.pretrained_store.put(backbone, graph, key, best_state)
         return best_state
 
     # ------------------------------------------------------------------ #

@@ -17,7 +17,9 @@ import numpy as np
 
 from . import init as init_module
 from .functional import linear as _fused_linear
-from .tensor import _TRACE, Tensor, get_default_dtype, trace_ops
+from .ops import BATCHNORM1D, DROPOUT, LINEAR, RELU, TANH
+from .tensor import (_TRACE, Tensor, apply_op, fused_ops_enabled,
+                     get_default_dtype, trace_ops)
 
 # --------------------------------------------------------------------------- #
 # Module-call tracing (the capture phase of the graph replay executor)
@@ -25,10 +27,10 @@ from .tensor import _TRACE, Tensor, get_default_dtype, trace_ops
 # While a trace is active on the current thread, every ``Module.__call__``
 # appends ``("module", module, input, output)`` to the recording list that
 # the engine-wide op trace (:func:`repro.nn.tensor.trace_ops`) maintains;
-# the traced tensor combinators and fused losses append their own tagged
-# records to the same list.  The replay compiler (:mod:`repro.nn.replay`)
-# runs one eager training step under this context and reconstructs the op
-# DAG from the records.
+# every op-table call appends its own ``("op", ...)`` record to the same
+# list.  The replay compiler (:mod:`repro.nn.replay`) runs one eager
+# training step under this context and reconstructs the op DAG from the
+# records.
 trace_module_calls = trace_ops
 
 __all__ = [
@@ -58,8 +60,11 @@ class Module:
 
     Subclasses assign :class:`Parameter` and :class:`Module` instances as
     attributes; they are discovered automatically for ``parameters()`` and
-    ``state_dict()``.
+    ``state_dict()``.  A leaf layer names the op-table entry its forward
+    runs in ``op`` (see :mod:`repro.nn.ops`).
     """
+
+    op = None
 
     def __init__(self) -> None:
         self.training = True
@@ -178,6 +183,8 @@ class Module:
 class Linear(Module):
     """Fully connected layer ``y = x W + b``."""
 
+    op = LINEAR
+
     def __init__(self, in_features: int, out_features: int, bias: bool = True,
                  rng: Optional[np.random.Generator] = None):
         super().__init__()
@@ -198,11 +205,15 @@ class Linear(Module):
 
 
 class ReLU(Module):
+    op = RELU
+
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
 
 
 class Tanh(Module):
+    op = TANH
+
     def forward(self, x: Tensor) -> Tensor:
         return x.tanh()
 
@@ -215,6 +226,8 @@ class Identity(Module):
 class Dropout(Module):
     """Inverted dropout; active only in training mode."""
 
+    op = DROPOUT
+
     def __init__(self, p: float = 0.5, rng: Optional[np.random.Generator] = None):
         super().__init__()
         if not 0.0 <= p < 1.0:
@@ -225,6 +238,8 @@ class Dropout(Module):
     def forward(self, x: Tensor) -> Tensor:
         if not self.training or self.p == 0.0:
             return x
+        if fused_ops_enabled():
+            return apply_op(DROPOUT, (x,), layer=self)
         keep = 1.0 - self.p
         mask = (self._rng.random(x.shape) < keep).astype(x.dtype) / keep
         return x * Tensor(mask)
@@ -232,6 +247,8 @@ class Dropout(Module):
 
 class BatchNorm1d(Module):
     """Batch normalization over the feature dimension of ``(n, d)`` inputs."""
+
+    op = BATCHNORM1D
 
     def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
         super().__init__()
@@ -246,6 +263,10 @@ class BatchNorm1d(Module):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.num_features:
             raise ValueError(f"expected (n, {self.num_features}) input, got {x.shape}")
+        if fused_ops_enabled():
+            return apply_op(BATCHNORM1D, (x, self.gamma, self.beta), layer=self,
+                            training=self.training,
+                            cast_dtype=np.dtype(get_default_dtype()))
         if self.training:
             batch_mean = x.data.mean(axis=0)
             batch_var = x.data.var(axis=0)

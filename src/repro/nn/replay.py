@@ -7,23 +7,34 @@ reproduction the graph shape never changes between steps — same model, same
 loss, same batch shape — so all of that per-step Python work is redundant.
 
 :class:`GraphReplay` removes it.  The first time a step signature is seen it
-runs the ordinary eager step while *tracing* the op DAG: a thread-local hook
-records every ``Module.__call__`` (``("module", module, input, output)``),
-every traced tensor combinator (``("add"/"mul", a, b, out)``), and every
-fused loss (``("loss", kind, logits, targets, extra, out)``).  The compiler
-walks the records backward from the loss root, resolving each tensor to the
-record that produced it or to a declared step input, and emits a kernel plan
-in the original execution order.  The plan is a general DAG, not just a
-linear chain: it supports fan-out (one activation consumed by several
-consumers), fan-in (summed / weighted-sum losses), and weight sharing (the
-same layer applied to several inputs, as in FixMatch's two-view consistency
-step), with gradient contributions written once and accumulated thereafter
-in exactly the eager backward order.  Every later step with the same
-signature replays raw NumPy kernels bound to preallocated buffers: no
-tensors, no closures, no tape, no topological sort.  The arithmetic is
-kernel-for-kernel identical to the fused eager path, so replayed training is
-bit-identical to eager training (asserted by ``tests/nn/test_replay.py`` and
-``tests/nn/test_replay_dag.py``).
+runs the ordinary eager step while *tracing* it: a thread-local hook records
+every ``Module.__call__`` (``("module", module, input, output)``) and every
+op-table call (``("op", op, state, output, operands)``, see
+:mod:`repro.nn.ops`).  The compiler walks the records backward from the loss
+root, resolving each tensor to the op that produced it or to a declared step
+input, and emits one generic node per op in the original execution order:
+the entry's forward kernel and VJPs, bound to a private copy of the capture
+step's op state, so every buffer is preallocated with the shape and dtype
+eager produced.  The plan is a general DAG, not just a linear chain: it
+supports fan-out (one activation consumed by several consumers), fan-in
+(summed / weighted-sum losses), and weight sharing (the same layer applied
+to several inputs, as in FixMatch's two-view consistency step).  Each VJP
+deposit is wired to its target in backward-execution order: the first
+contribution writes the target, later ones write a private scratch buffer
+that is then added in — exactly the eager write-then-add accumulation.
+Every later step with the same signature replays the kernels on the rebound
+inputs: no tensors, no closures, no tape, no topological sort.  Eager and
+replay run the same kernels, so replayed training is bit-identical to eager
+training (asserted by ``tests/nn/test_replay.py``,
+``tests/nn/test_replay_dag.py`` and, op by op, ``tests/nn/test_op_table.py``).
+
+The compiler knows no op by name: adding a replayable op is one
+:class:`~repro.nn.ops.Op` entry (forward kernel, one VJP per input and
+parameter, the names of its inputs, parameters, step-input data and buffers,
+and for a layer's op the layer attributes the signature must guard) plus the
+eager call that runs it through :func:`~repro.nn.tensor.apply_op`.  A layer
+running it names the entry in its ``op`` class attribute; the structural
+fingerprint reads the entry's ``guard`` from there.
 
 Fallback rules (checked on *every* step, before replaying):
 
@@ -43,21 +54,18 @@ Fallback rules (checked on *every* step, before replaying):
   → the signature is marked unsupported and every step with it runs eagerly,
   with the reason recorded in :attr:`ReplayStats.fallbacks`.
 
-Supported leaf layers: ``Linear`` (2-D fused path), ``ReLU``, ``Tanh``,
-``Identity``, ``Dropout`` (in eval mode a no-op; in training mode the mask
-is drawn from the layer's own RNG exactly as the eager forward does, so the
-RNG stream stays aligned), and ``BatchNorm1d`` (train mode recomputes batch
-statistics and updates the running stats exactly as eager does — including
-rebinding fresh running-stat arrays — and eval mode normalizes with the live
-running stats; the backward treats the batch statistics as constants, which
-is the eager engine's semantic).  Supported glue ops: tensor ``+`` and ``*``
-(e.g. summed or weighted-sum losses).  Supported losses: the fused
-``cross_entropy`` (hard targets, with optional per-sample weights),
-``soft_cross_entropy``, and the fused squared-error losses (``l2_loss`` /
-``mse_loss``).  Optimizer updates reuse ``optimizer.step()`` itself —
-gradients are written into preallocated buffers (the optimizer's flat
-gradient views when available) and bound to ``param.grad``, so SGD momentum
-and Adam state evolve exactly as in eager mode.
+Supported ops are the table's: ``Linear`` (2-D fused path), ``ReLU``,
+``Tanh``, ``Dropout`` (the training-mode mask is drawn from the layer's own
+RNG on every step, so the RNG stream stays aligned; eval mode and
+``Identity`` return their input and compile to nothing), ``BatchNorm1d``
+(train mode updates the running stats exactly as eager does, eval mode
+reads them live), tensor ``+`` and ``*`` (summed or weighted-sum losses),
+and the fused losses ``cross_entropy`` (optionally per-sample weighted),
+``soft_cross_entropy`` and ``l2_loss`` / ``mse_loss``.  Optimizer updates
+reuse ``optimizer.step()`` itself — gradients are written into preallocated
+buffers (the optimizer's flat gradient views when available) and bound to
+``param.grad``, so SGD momentum and Adam state evolve exactly as in eager
+mode.
 
 Beyond the classic ``step(x, y)`` chain API, the executor exposes:
 
@@ -83,14 +91,12 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from . import functional as F
-from .modules import (BatchNorm1d, Dropout, Linear, Module, ReLU, Tanh,
-                      trace_module_calls)
+from .modules import Module, trace_module_calls
 from .optim import Optimizer
-from .tensor import (Tensor, _unbroadcast, fused_ops_enabled,
-                     get_default_dtype, graph_replay_enabled, inference_mode,
-                     is_grad_enabled)
+from .tensor import (Tensor, fused_ops_enabled, get_default_dtype,
+                     graph_replay_enabled, inference_mode, is_grad_enabled)
 
-__all__ = ["GraphReplay", "ReplayStats", "ReplayUnsupported", "compile_step",
+__all__ = ["GraphReplay", "ReplayStats", "ReplayUnsupported",
            "collect_replay_stats"]
 
 
@@ -180,18 +186,8 @@ def collect_replay_stats(stats: ReplayStats):
 
 
 # --------------------------------------------------------------------------- #
-# Compiled kernel nodes
+# Compiled nodes
 # --------------------------------------------------------------------------- #
-# Each node owns its preallocated forward/backward buffers and reads layer
-# parameters through the live module attribute (``layer.weight.data``), so
-# in-place parameter updates and ``load_state_dict`` swaps are picked up
-# without recompiling.  Gradient deposit slots (``gw``/``gb``/``gin``/``ta``
-# /``tb``/``tz``) are wired by the compiler: ``None`` means "not needed",
-# otherwise the slot holds the target buffer — a producer node's grad buffer
-# or an optimizer flat-gradient view — plus an ``*_acc`` flag.  The first
-# contribution in backward-execution order writes the target; later ones
-# accumulate through a private ``*_tmp`` buffer, reproducing the eager
-# engine's write-then-add gradient accumulation bit for bit.
 
 
 class _InputNode:
@@ -204,546 +200,29 @@ class _InputNode:
         self.cast_dtype = cast_dtype
 
 
-class _LinearStep:
-    __slots__ = ("index", "layer", "requires_grad", "x", "out", "grad",
-                 "gw", "gw_acc", "gw_tmp", "gb", "gb_acc", "gb_tmp",
-                 "gin", "gin_acc", "gin_tmp",
-                 "_src", "_src_rg")
+class _Node:
+    """One traced op: its table entry and a private :class:`OpState`.
 
-    def __init__(self, layer: Linear, inp: Tensor, out: Tensor):
-        if inp.ndim != 2:
-            raise ReplayUnsupported("only the 2-D fused linear path is "
-                                    "replayable")
-        self.layer = layer
-        self.x: Optional[np.ndarray] = None
-        self.out = np.empty_like(out.data)
-        self.grad: Optional[np.ndarray] = None
-        self.gw = self.gb = self.gin = None
-        self.gw_acc = self.gb_acc = self.gin_acc = False
-        self.gw_tmp = self.gb_tmp = self.gin_tmp = None
-
-    def forward(self) -> None:
-        layer = self.layer
-        out = self.out
-        np.matmul(self.x, layer.weight.data, out=out)
-        if layer.bias is not None:
-            out += layer.bias.data
-
-    def backward(self) -> None:
-        layer = self.layer
-        grad = self.grad
-        if self.gw is not None:
-            if self.gw_acc:
-                np.matmul(self.x.T, grad, out=self.gw_tmp)
-                self.gw += self.gw_tmp
-            else:
-                np.matmul(self.x.T, grad, out=self.gw)
-            layer.weight.grad = self.gw
-        if self.gb is not None:
-            # ndarray.sum lowers to add.reduce; call it directly to skip
-            # the np.sum dispatch layer (hot path: once per linear per step).
-            if self.gb_acc:
-                np.add.reduce(grad, axis=0, out=self.gb_tmp)
-                self.gb += self.gb_tmp
-            else:
-                np.add.reduce(grad, axis=0, out=self.gb)
-            layer.bias.grad = self.gb
-        if self.gin is not None:
-            if self.gin_acc:
-                np.matmul(grad, layer.weight.data.T, out=self.gin_tmp)
-                self.gin += self.gin_tmp
-            else:
-                np.matmul(grad, layer.weight.data.T, out=self.gin)
-
-
-class _ReLUStep:
-    __slots__ = ("index", "requires_grad", "x", "out", "grad", "mask",
-                 "gin", "gin_acc", "gin_tmp",
-                 "_src", "_src_rg")
-
-    def __init__(self, layer: ReLU, inp: Tensor, out: Tensor):
-        self.x: Optional[np.ndarray] = None
-        self.mask = np.empty(inp.shape, dtype=bool)
-        self.out = np.empty_like(out.data)
-        self.grad: Optional[np.ndarray] = None
-        self.gin = None
-        self.gin_acc = False
-        self.gin_tmp = None
-
-    def forward(self) -> None:
-        np.greater(self.x, 0, out=self.mask)
-        np.multiply(self.x, self.mask, out=self.out)
-
-    def backward(self) -> None:
-        if self.gin is None:
-            return
-        if self.gin_acc:
-            np.multiply(self.grad, self.mask, out=self.gin_tmp)
-            self.gin += self.gin_tmp
-        else:
-            np.multiply(self.grad, self.mask, out=self.gin)
-
-
-class _TanhStep:
-    __slots__ = ("index", "requires_grad", "x", "out", "grad", "tmp",
-                 "gin", "gin_acc", "gin_tmp",
-                 "_src", "_src_rg")
-
-    def __init__(self, layer: Tanh, inp: Tensor, out: Tensor):
-        self.x: Optional[np.ndarray] = None
-        self.out = np.empty_like(out.data)
-        self.tmp = np.empty_like(out.data)
-        self.grad: Optional[np.ndarray] = None
-        self.gin = None
-        self.gin_acc = False
-        self.gin_tmp = None
-
-    def forward(self) -> None:
-        np.tanh(self.x, out=self.out)
-
-    def backward(self) -> None:
-        if self.gin is None:
-            return
-        # Eager computes ``grad * (1 - out ** 2)``; ``out ** 2`` lowers to
-        # an elementwise square, which np.square reproduces bit-for-bit.
-        np.square(self.out, out=self.tmp)
-        np.subtract(1.0, self.tmp, out=self.tmp)
-        if self.gin_acc:
-            np.multiply(self.grad, self.tmp, out=self.gin_tmp)
-            self.gin += self.gin_tmp
-        else:
-            np.multiply(self.grad, self.tmp, out=self.gin)
-
-
-class _DropoutStep:
-    __slots__ = ("index", "requires_grad", "layer", "x", "out", "grad",
-                 "mask", "gin", "gin_acc", "gin_tmp",
-                 "_src", "_src_rg")
-
-    def __init__(self, layer: Dropout, inp: Tensor, out: Tensor):
-        self.layer = layer
-        self.x: Optional[np.ndarray] = None
-        self.mask: Optional[np.ndarray] = None
-        self.out = np.empty_like(out.data)
-        self.grad: Optional[np.ndarray] = None
-        self.gin = None
-        self.gin_acc = False
-        self.gin_tmp = None
-
-    def forward(self) -> None:
-        layer = self.layer
-        x = self.x
-        keep = 1.0 - layer.p
-        # Draw from the layer's own RNG with the exact expression the eager
-        # forward uses, keeping the RNG stream aligned with eager training.
-        self.mask = (layer._rng.random(x.shape) < keep).astype(x.dtype) / keep
-        np.multiply(x, self.mask, out=self.out)
-
-    def backward(self) -> None:
-        if self.gin is None:
-            return
-        if self.gin_acc:
-            np.multiply(self.grad, self.mask, out=self.gin_tmp)
-            self.gin += self.gin_tmp
-        else:
-            np.multiply(self.grad, self.mask, out=self.gin)
-
-
-class _BatchNormStep:
-    """BatchNorm1d kernel, mirroring the eager forward line for line.
-
-    Train mode computes batch statistics and updates the running stats with
-    the exact eager expression (allocating and *rebinding* fresh running
-    arrays, so external holders of the old arrays see eager-identical
-    behavior); eval mode reads the live running stats.  The statistics pass
-    through the same ``Tensor()`` dtype cast the eager forward applies, and
-    the backward treats them as constants — the eager engine's semantic —
-    so ``grad_x = (grad * gamma) * scale`` in that exact multiply order.
+    The state starts as a copy of the capture step's state, so every buffer
+    the forward kernel wrote is preallocated with the shape and dtype eager
+    produced.  Parameters are the layer's live tensors (read through
+    ``.data``), so in-place updates and ``load_state_dict`` swaps need no
+    recompile.  ``srcs`` pairs each input slot with its producer node (or
+    :class:`_InputNode`) and whether eager tracked its gradient.
     """
 
-    __slots__ = ("index", "requires_grad", "layer", "training", "cast_dtype",
-                 "x", "out", "grad", "meanbuf", "varbuf", "scalebuf",
-                 "negmean", "diff", "norm", "t2", "scratch", "gmul", "_scale",
-                 "gg", "gg_acc", "gg_tmp", "gb", "gb_acc", "gb_tmp",
-                 "gin", "gin_acc", "gin_tmp",
-                 "_src", "_src_rg")
+    __slots__ = ("op", "s", "index", "requires_grad", "grad", "srcs")
 
-    def __init__(self, layer: BatchNorm1d, inp: Tensor, out: Tensor):
-        if inp.ndim != 2:
-            raise ReplayUnsupported("BatchNorm1d replays on 2-D inputs only")
-        self.layer = layer
-        self.training = layer.training
-        self.cast_dtype = np.dtype(get_default_dtype())
-        in_dt = inp.data.dtype
-        n, d = inp.shape
-        self.x: Optional[np.ndarray] = None
-        self.out = np.empty_like(out.data)
+    def __init__(self, op, eager, index: int, requires_grad: bool):
+        self.op = op
+        self.s = op.State()
+        self.s.__dict__.update(
+            (name, value.copy() if isinstance(value, np.ndarray) else value)
+            for name, value in vars(eager).items() if name not in op.inputs)
+        self.index = index
+        self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
-        if self.training:
-            self.meanbuf = np.empty(d, dtype=in_dt)
-            self.varbuf = np.empty(d, dtype=in_dt)
-            self.scalebuf = np.empty(d, dtype=in_dt)
-        else:
-            self.meanbuf = self.varbuf = None
-            # Eval mode derives the scale from the running variance (whose
-            # dtype is pinned by the fingerprint, so preallocating is safe).
-            self.scalebuf = np.empty(d, dtype=layer.running_var.dtype)
-        self.negmean = np.empty(d, dtype=self.cast_dtype)
-        diff_dt = np.promote_types(in_dt, self.cast_dtype)
-        self.diff = np.empty((n, d), dtype=diff_dt)
-        norm_dt = np.promote_types(diff_dt, self.cast_dtype)
-        self.norm = np.empty((n, d), dtype=norm_dt)
-        self.t2 = np.empty((n, d),
-                           dtype=np.promote_types(norm_dt,
-                                                  layer.gamma.data.dtype))
-        self.scratch = np.empty_like(out.data)
-        self.gmul = np.empty_like(out.data)
-        self._scale: Optional[np.ndarray] = None
-        self.gg = self.gb = self.gin = None
-        self.gg_acc = self.gb_acc = self.gin_acc = False
-        self.gg_tmp = self.gb_tmp = self.gin_tmp = None
-
-    def forward(self) -> None:
-        layer = self.layer
-        x = self.x
-        if self.training:
-            np.mean(x, axis=0, out=self.meanbuf)
-            np.var(x, axis=0, out=self.varbuf)
-            m = layer.momentum
-            layer.running_mean = ((1 - m) * layer.running_mean
-                                  + m * self.meanbuf)
-            layer.running_var = ((1 - m) * layer.running_var
-                                 + m * self.varbuf)
-            np.add(self.varbuf, layer.eps, out=self.scalebuf)
-            np.sqrt(self.scalebuf, out=self.scalebuf)
-            np.divide(1.0, self.scalebuf, out=self.scalebuf)
-            mean, scale = self.meanbuf, self.scalebuf
-        else:
-            mean = layer.running_mean
-            np.add(layer.running_var, layer.eps, out=self.scalebuf)
-            np.sqrt(self.scalebuf, out=self.scalebuf)
-            np.divide(1.0, self.scalebuf, out=self.scalebuf)
-            scale = self.scalebuf
-        # The eager forward routes mean/scale through Tensor(), which casts
-        # to the engine dtype; a no-op when the dtypes already agree.
-        if mean.dtype != self.cast_dtype:
-            mean = mean.astype(self.cast_dtype)
-        if scale.dtype != self.cast_dtype:
-            scale = scale.astype(self.cast_dtype)
-        self._scale = scale
-        np.negative(mean, out=self.negmean)
-        np.add(x, self.negmean, out=self.diff)
-        np.multiply(self.diff, scale, out=self.norm)
-        np.multiply(self.norm, layer.gamma.data, out=self.t2)
-        np.add(self.t2, layer.beta.data, out=self.out)
-
-    def backward(self) -> None:
-        layer = self.layer
-        grad = self.grad
-        if self.gb is not None:
-            if self.gb_acc:
-                np.add.reduce(grad, axis=0, out=self.gb_tmp)
-                self.gb += self.gb_tmp
-            else:
-                np.add.reduce(grad, axis=0, out=self.gb)
-            layer.beta.grad = self.gb
-        if self.gg is not None:
-            np.multiply(grad, self.norm, out=self.scratch)
-            if self.gg_acc:
-                np.add.reduce(self.scratch, axis=0, out=self.gg_tmp)
-                self.gg += self.gg_tmp
-            else:
-                np.add.reduce(self.scratch, axis=0, out=self.gg)
-            layer.gamma.grad = self.gg
-        if self.gin is not None:
-            np.multiply(grad, layer.gamma.data, out=self.gmul)
-            if self.gin_acc:
-                np.multiply(self.gmul, self._scale, out=self.gmul)
-                self.gin += self.gmul
-            else:
-                np.multiply(self.gmul, self._scale, out=self.gin)
-
-
-class _AddStep:
-    """Tensor ``a + b`` (loss fan-in, residual sums)."""
-
-    __slots__ = ("index", "requires_grad", "a", "b", "out", "grad",
-                 "a_shape", "b_shape", "ta", "ta_acc", "tb", "tb_acc",
-                 "_srcs")
-
-    def __init__(self, a: Tensor, b: Tensor, out: Tensor):
-        self.a: Optional[np.ndarray] = None
-        self.b: Optional[np.ndarray] = None
-        self.a_shape = a.shape
-        self.b_shape = b.shape
-        self.out = np.empty_like(out.data)
-        self.grad: Optional[np.ndarray] = None
-        self.ta = self.tb = None
-        self.ta_acc = self.tb_acc = False
-
-    def forward(self) -> None:
-        np.add(self.a, self.b, out=self.out)
-
-    def backward(self) -> None:
-        grad = self.grad
-        if self.ta is not None:
-            ga = grad if grad.shape == self.a_shape else \
-                _unbroadcast(grad, self.a_shape)
-            if self.ta_acc:
-                self.ta += ga
-            else:
-                np.copyto(self.ta, ga)
-        if self.tb is not None:
-            gb = grad if grad.shape == self.b_shape else \
-                _unbroadcast(grad, self.b_shape)
-            if self.tb_acc:
-                self.tb += gb
-            else:
-                np.copyto(self.tb, gb)
-
-
-class _MulStep:
-    """Tensor ``a * b`` (e.g. the weighted consistency-loss term)."""
-
-    __slots__ = ("index", "requires_grad", "a", "b", "out", "grad",
-                 "a_shape", "b_shape", "tmp_a", "tmp_b",
-                 "ta", "ta_acc", "tb", "tb_acc",
-                 "_srcs")
-
-    def __init__(self, a: Tensor, b: Tensor, out: Tensor):
-        self.a: Optional[np.ndarray] = None
-        self.b: Optional[np.ndarray] = None
-        self.a_shape = a.shape
-        self.b_shape = b.shape
-        self.out = np.empty_like(out.data)
-        # Product staging buffers (``grad * other`` has the output's shape
-        # and dtype; the operands' dtypes are already folded into it).
-        self.tmp_a = np.empty_like(out.data)
-        self.tmp_b = np.empty_like(out.data)
-        self.grad: Optional[np.ndarray] = None
-        self.ta = self.tb = None
-        self.ta_acc = self.tb_acc = False
-
-    def forward(self) -> None:
-        np.multiply(self.a, self.b, out=self.out)
-
-    def backward(self) -> None:
-        grad = self.grad
-        if self.ta is not None:
-            np.multiply(grad, self.b, out=self.tmp_a)
-            ga = (self.tmp_a if self.tmp_a.shape == self.a_shape
-                  else _unbroadcast(self.tmp_a, self.a_shape))
-            if self.ta_acc:
-                self.ta += ga
-            else:
-                np.copyto(self.ta, ga)
-        if self.tb is not None:
-            np.multiply(grad, self.a, out=self.tmp_b)
-            gb = (self.tmp_b if self.tmp_b.shape == self.b_shape
-                  else _unbroadcast(self.tmp_b, self.b_shape))
-            if self.tb_acc:
-                self.tb += gb
-            else:
-                np.copyto(self.tb, gb)
-
-
-# --------------------------------------------------------------------------- #
-# Compiled loss kernels
-# --------------------------------------------------------------------------- #
-
-
-class _HardCELoss:
-    """Fused softmax + hard cross entropy (matches ``softmax_cross_entropy``),
-    with optional per-sample weights (FixMatch's confidence mask)."""
-
-    __slots__ = ("index", "requires_grad", "z", "targets", "weights",
-                 "weighted", "out", "grad", "need_value", "rows", "maxbuf",
-                 "shifted", "exp", "sumexp", "logbuf", "d", "denom",
-                 "num_classes", "dtype", "_t", "_w", "tz", "tz_acc",
-                 "_src", "_src_rg")
-
-    def __init__(self, logits: Tensor, weighted: bool):
-        z = logits.data
-        n, c = z.shape
-        dtype = z.dtype
-        self.z: Optional[np.ndarray] = None
-        self.targets: Optional[np.ndarray] = None
-        self.weights: Optional[np.ndarray] = None
-        self.weighted = weighted
-        self.out = np.empty((), dtype=dtype)
-        self.grad: Optional[np.ndarray] = None
-        self.need_value = True
-        self.rows = np.arange(n)
-        self.maxbuf = np.empty((n, 1), dtype=dtype)
-        self.shifted = np.empty((n, c), dtype=dtype)
-        self.exp = np.empty((n, c), dtype=dtype)
-        self.sumexp = np.empty((n, 1), dtype=dtype)
-        self.logbuf = np.empty(n, dtype=dtype)
-        self.d = np.empty((n, c), dtype=dtype)
-        self.denom = float(n)
-        self.num_classes = c
-        self.dtype = dtype
-        self._t = self._w = None
-        self.tz = None
-        self.tz_acc = False
-
-    def forward(self) -> None:
-        t = np.asarray(self.targets, dtype=np.int64)
-        F.check_label_range(t, self.num_classes)
-        self._t = t
-        z = self.z
-        np.maximum.reduce(z, axis=1, keepdims=True, out=self.maxbuf)
-        np.subtract(z, self.maxbuf, out=self.shifted)
-        np.exp(self.shifted, out=self.exp)
-        np.add.reduce(self.exp, axis=1, keepdims=True, out=self.sumexp)
-        if self.weighted:
-            w = np.asarray(self.weights, dtype=self.dtype)
-            self._w = w
-            self.denom = float(w.sum()) or 1.0
-        if not self.need_value:
-            # The backward needs only exp/sumexp (and the weighted denom);
-            # the scalar is elided when the caller does not consume it.
-            return
-        np.log(self.sumexp[:, 0], out=self.logbuf)
-        picked = self.shifted[self.rows, self._t]
-        picked -= self.logbuf
-        if self.weighted:
-            self.out[()] = -float(self._w @ picked) / self.denom
-        else:
-            self.out[()] = -float(picked.sum()) / self.denom
-
-    def backward(self) -> None:
-        if self.tz is None:
-            return
-        g = float(self.grad)
-        d = self.d if self.tz_acc else self.tz
-        np.divide(self.exp, self.sumexp, out=d)
-        d[self.rows, self._t] -= 1.0
-        if self.weighted:
-            d *= self._w[:, None]
-        d *= g / self.denom
-        if self.tz_acc:
-            self.tz += d
-
-
-class _SoftCELoss:
-    """Fused soft-target cross entropy (matches ``soft_cross_entropy``)."""
-
-    __slots__ = ("index", "requires_grad", "z", "targets", "weights",
-                 "weighted", "out", "grad", "need_value", "maxbuf", "shifted",
-                 "exp", "sumexp", "logbuf", "prod", "tsum", "tbuf", "d",
-                 "denom", "dtype", "_t", "tz", "tz_acc",
-                 "_src", "_src_rg")
-
-    def __init__(self, logits: Tensor, weighted: bool):
-        z = logits.data
-        n, c = z.shape
-        dtype = z.dtype
-        self.z: Optional[np.ndarray] = None
-        self.targets: Optional[np.ndarray] = None
-        self.weights: Optional[np.ndarray] = None
-        self.weighted = weighted
-        self.out = np.empty((), dtype=dtype)
-        self.grad: Optional[np.ndarray] = None
-        self.need_value = True
-        self.maxbuf = np.empty((n, 1), dtype=dtype)
-        self.shifted = np.empty((n, c), dtype=dtype)
-        self.exp = np.empty((n, c), dtype=dtype)
-        self.sumexp = np.empty((n, 1), dtype=dtype)
-        self.logbuf = np.empty((n, 1), dtype=dtype)
-        self.prod = np.empty((n, c), dtype=dtype)
-        self.tsum = np.empty((n, 1), dtype=dtype)
-        self.tbuf = np.empty((n, c), dtype=dtype) if weighted else None
-        self.d = np.empty((n, c), dtype=dtype)
-        self.denom = float(n)
-        self.dtype = dtype
-        self._t = None
-        self.tz = None
-        self.tz_acc = False
-
-    def forward(self) -> None:
-        t = np.asarray(self.targets, dtype=self.dtype)
-        z = self.z
-        np.maximum.reduce(z, axis=1, keepdims=True, out=self.maxbuf)
-        np.subtract(z, self.maxbuf, out=self.shifted)
-        np.exp(self.shifted, out=self.exp)
-        np.add.reduce(self.exp, axis=1, keepdims=True, out=self.sumexp)
-        if self.weighted:
-            w = np.asarray(self.weights, dtype=self.dtype)
-            np.multiply(t, w[:, None], out=self.tbuf)
-            t = self.tbuf
-            self.denom = float(w.sum()) or 1.0
-        self._t = t
-        if not self.need_value:
-            return
-        np.log(self.sumexp, out=self.logbuf)
-        # log_probs = shifted - log(sumexp); loss = -sum(t * log_probs)/denom
-        np.subtract(self.shifted, self.logbuf, out=self.prod)
-        np.multiply(self.prod, t, out=self.prod)
-        self.out[()] = -float(self.prod.sum()) / self.denom
-
-    def backward(self) -> None:
-        if self.tz is None:
-            return
-        g = float(self.grad)
-        d = self.d if self.tz_acc else self.tz
-        np.divide(self.exp, self.sumexp, out=d)
-        np.add.reduce(self._t, axis=1, keepdims=True, out=self.tsum)
-        d *= self.tsum
-        d -= self._t
-        d *= g / self.denom
-        if self.tz_acc:
-            self.tz += d
-
-
-class _SqErrLoss:
-    """Fused squared-error loss (matches ``l2_loss`` / ``mse_loss``; the
-    recorded denominator distinguishes the two)."""
-
-    __slots__ = ("index", "requires_grad", "z", "targets", "out", "grad",
-                 "need_value", "diff", "sq", "d", "denom", "tz", "tz_acc",
-                 "_src", "_src_rg")
-
-    def __init__(self, predictions: Tensor, denom: float):
-        p = predictions.data
-        self.z: Optional[np.ndarray] = None
-        self.targets: Optional[np.ndarray] = None
-        self.out = np.empty((), dtype=p.dtype)
-        self.grad: Optional[np.ndarray] = None
-        self.need_value = True
-        self.diff = np.empty_like(p)
-        self.sq = np.empty_like(p)
-        self.d = np.empty_like(p)
-        self.denom = denom
-        self.tz = None
-        self.tz_acc = False
-
-    def forward(self) -> None:
-        np.subtract(self.z, self.targets, out=self.diff)
-        if not self.need_value:
-            return
-        np.multiply(self.diff, self.diff, out=self.sq)
-        self.out[()] = float(self.sq.sum()) / self.denom
-
-    def backward(self) -> None:
-        if self.tz is None:
-            return
-        g = float(self.grad)
-        d = self.d if self.tz_acc else self.tz
-        np.multiply(self.diff, 2.0 * g / self.denom, out=d)
-        if self.tz_acc:
-            self.tz += d
-
-
-_MODULE_KERNELS = {
-    Linear: _LinearStep,
-    ReLU: _ReLUStep,
-    Tanh: _TanhStep,
-    Dropout: _DropoutStep,
-    BatchNorm1d: _BatchNormStep,
-}
-
-_LOSS_NODES = (_HardCELoss, _SoftCELoss, _SqErrLoss)
+        self.srcs: List[tuple] = []
 
 
 # --------------------------------------------------------------------------- #
@@ -751,20 +230,19 @@ _LOSS_NODES = (_HardCELoss, _SoftCELoss, _SqErrLoss)
 # --------------------------------------------------------------------------- #
 
 
-def _model_fingerprint(module: Module, out: Optional[list] = None) -> tuple:
+def _model_fingerprint(module: Module) -> tuple:
     """A cheap structural identity of the model, rebuilt on every step.
 
-    Captures everything a compiled plan depends on: the identity and type of
-    every submodule in attribute order, parameter shapes/dtypes and
-    ``requires_grad`` flags for ``Linear`` layers, mode/probability for
-    ``Dropout``, and for ``BatchNorm1d`` the feature count, momentum, eps,
-    train/eval mode, parameter identities/dtypes, and the running-stat
-    dtypes (a config or dtype change must force a recapture, never a replay
-    of stale kernels).  Any mutation — adding a layer, replacing a head,
-    freezing a parameter, flipping a layer's mode — changes the fingerprint.
+    Captures the identity and type of every submodule in attribute order,
+    plus, for each layer that runs an op-table entry, the attributes the
+    entry's ``guard`` names: a tensor contributes its identity, shape, dtype
+    and ``requires_grad`` flag, an array (batch-norm running stats) its
+    dtype, anything else its value (modes, probabilities, momentum, eps).
+    Any mutation a compiled plan depends on — adding a layer, replacing a
+    head, freezing a parameter, flipping a layer's mode, a dtype change —
+    changes the fingerprint and forces a recapture, never a replay of stale
+    kernels.
     """
-    if out is not None:  # pragma: no cover - legacy recursive signature
-        raise TypeError("_model_fingerprint walks iteratively; pass the root")
     out = []
     # Iterative depth-first walk in attribute order (per-step hot path: a
     # Python-level recursion here costs ~1 us per submodule per step).
@@ -772,25 +250,19 @@ def _model_fingerprint(module: Module, out: Optional[list] = None) -> tuple:
     while stack:
         m = stack.pop()
         t = type(m)
-        if t is Linear:
-            w = m.weight
-            b = m.bias
-            out.append((id(m), t, id(w), w.data.shape, w.data.dtype,
-                        w.requires_grad,
-                        None if b is None else (id(b), b.data.shape,
-                                                b.data.dtype,
-                                                b.requires_grad)))
-        elif t is Dropout:
-            out.append((id(m), t, m.p, m.training))
-        elif t is BatchNorm1d:
-            g, b = m.gamma, m.beta
-            out.append((id(m), t, m.num_features, m.momentum,
-                        m.eps, m.training,
-                        (id(g), g.data.dtype, g.requires_grad),
-                        (id(b), b.data.dtype, b.requires_grad),
-                        m.running_mean.dtype, m.running_var.dtype))
-        else:
+        op = t.op
+        if op is None or not op.guard:
             out.append((id(m), t))
+        else:
+            key = [id(m), t]
+            for name in op.guard:
+                v = getattr(m, name)
+                if isinstance(v, Tensor):
+                    v = (id(v), v.data.shape, v.data.dtype, v.requires_grad)
+                elif isinstance(v, np.ndarray):
+                    v = v.dtype
+                key.append(v)
+            out.append(tuple(key))
         children = []
         for value in m.__dict__.values():
             if isinstance(value, Module):
@@ -810,41 +282,56 @@ def _model_fingerprint(module: Module, out: Optional[list] = None) -> tuple:
 
 
 class _CompiledPlan:
-    """A compiled kernel DAG: forward in trace order, backward reversed."""
+    """A compiled kernel DAG: forward in trace order, backward reversed.
+
+    ``forwards`` holds ``(kernel, state)`` pairs; ``backwards`` holds
+    ``(state, grad, deposits)`` per node, each deposit a
+    ``(vjp, target, scratch, param)`` tuple: the VJP writes the target when
+    ``scratch`` is None, and otherwise writes the scratch buffer, which is
+    then added into the target.  ``param`` (or None) is the tensor whose
+    ``.grad`` the target is bound to.
+    """
 
     __slots__ = ("_forwards", "_backwards", "_input_sites", "_clear_grads",
-                 "root", "optimizer", "root_is_loss", "pins")
+                 "root", "optimizer", "pins")
 
     def __init__(self, forwards, backwards, input_sites, clear_grads, root,
-                 optimizer, root_is_loss):
+                 optimizer):
         self._forwards = forwards
         self._backwards = backwards
         self._input_sites = input_sites
         self._clear_grads = clear_grads
         self.root = root
         self.optimizer = optimizer
-        self.root_is_loss = root_is_loss
         self.pins = None
 
     def _bind(self, inputs: Dict[str, np.ndarray]) -> None:
-        for node, attr, key, cast_dtype in self._input_sites:
+        for state, attr, key, cast_dtype in self._input_sites:
             arr = inputs[key]
-            if cast_dtype is not None and arr.dtype != cast_dtype:
+            if arr.dtype != cast_dtype:
                 # The eager path casts through ``Tensor(x)``; match it.
                 arr = arr.astype(cast_dtype)
-            setattr(node, attr, arr)
+            setattr(state, attr, arr)
+
+    def _forward(self, inputs: Dict[str, np.ndarray],
+                 need_value: bool) -> None:
+        self._bind(inputs)
+        self.root.need_value = need_value
+        for forward, state in self._forwards:
+            forward(state)
 
     def run(self, inputs: Dict[str, np.ndarray],
             need_value: bool = True) -> Optional[float]:
-        self._bind(inputs)
-        root = self.root
-        if self.root_is_loss:
-            root.need_value = need_value
-        for forward in self._forwards:
-            forward()
-        value = float(root.out) if need_value else None
-        for backward in self._backwards:
-            backward()
+        self._forward(inputs, need_value)
+        value = float(self.root.out) if need_value else None
+        for state, grad, deposits in self._backwards:
+            for vjp, target, scratch, param in deposits:
+                if scratch is None:
+                    vjp(state, grad, target)
+                else:
+                    target += vjp(state, grad, scratch)
+                if param is not None:
+                    param.grad = target
         # Optimizer parameters this plan computes no gradient for must not
         # advance: eager's zero_grad() leaves them at None, so clear any
         # binding left over from an earlier step with different coverage.
@@ -855,19 +342,13 @@ class _CompiledPlan:
 
     def run_eval(self, inputs: Dict[str, np.ndarray]) -> float:
         """Forward + loss value only (the compiled inference pass)."""
-        self._bind(inputs)
-        if self.root_is_loss:
-            self.root.need_value = True
-        for forward in self._forwards:
-            forward()
+        self._forward(inputs, True)
         return float(self.root.out)
 
     def run_forward(self, inputs: Dict[str, np.ndarray]) -> np.ndarray:
         """Forward only; returns the root output buffer (valid until the
         next call on this plan)."""
-        self._bind(inputs)
-        for forward in self._forwards:
-            forward()
+        self._forward(inputs, True)
         return self.root.out
 
 
@@ -876,29 +357,28 @@ def _compile(records: List[tuple], root: Tensor,
              train: bool) -> _CompiledPlan:
     """Build a replay plan from one traced eager step, or raise
     :class:`ReplayUnsupported`."""
-    # ---- producer map: which record made each tensor ------------------- #
+    # ---- producer map: which op made each tensor ----------------------- #
+    # Layer ops must run inside their layer's call (so their parameters are
+    # the layer's, covered by the fingerprint); ``claimed`` maps each such
+    # layer call's output to the layer's name.  Identity and eval-mode
+    # dropout return their input and claim nothing.
     prod: Dict[int, Tuple[int, tuple]] = {}
+    claimed: Dict[int, str] = {}
     for idx, rec in enumerate(records):
-        kind = rec[0]
-        if kind == "module":
-            module, inp, out = rec[1], rec[2], rec[3]
-            # Identity / eval-mode dropout return their input: claim nothing
-            # (the tensor resolves through its true producer).  Container
-            # modules are skipped; their leaves claim the outputs.
-            if type(module) in _MODULE_KERNELS and out is not inp:
-                prod[id(out)] = (idx, rec)
-        else:
-            prod[id(rec[-1])] = (idx, rec)
+        if rec[0] == "op":
+            prod[id(rec[3])] = (idx, rec)
+        elif type(rec[1]).op is not None and rec[3] is not rec[2]:
+            claimed[id(rec[3])] = type(rec[1]).__name__
 
     nodes: Dict[int, object] = {}
-    built: List[object] = []
+    built: List[_Node] = []
     input_sites: List[tuple] = []
 
-    def wire(node, attr: str, src) -> None:
+    def wire(node: _Node, attr: str, src) -> None:
         if isinstance(src, _InputNode):
-            input_sites.append((node, attr, src.key, src.cast_dtype))
+            input_sites.append((node.s, attr, src.key, src.cast_dtype))
         else:
-            setattr(node, attr, src.out)
+            setattr(node.s, attr, src.s.out)
 
     def key_for(obj, what: str) -> str:
         oid = id(obj)
@@ -930,46 +410,20 @@ def _compile(records: List[tuple], root: Tensor,
             raise ReplayUnsupported(
                 "tensor produced outside the replayable op set "
                 "(custom tensor math or a constant created in the step?)")
-        idx, rec = entry
-        kind = rec[0]
-        if kind == "module":
-            module, inp, out = rec[1], rec[2], rec[3]
-            src = resolve(inp)
-            node = _MODULE_KERNELS[type(module)](module, inp, out)
-            wire(node, "x", src)
-            node._src = src  # noqa: SLF001 - compiler-internal link
-            node._src_rg = inp.requires_grad
-        elif kind in ("add", "mul"):
-            a, b, out = rec[1], rec[2], rec[3]
-            na, nb = resolve(a), resolve(b)
-            node = (_AddStep if kind == "add" else _MulStep)(a, b, out)
-            wire(node, "a", na)
-            wire(node, "b", nb)
-            node._srcs = ((na, a.requires_grad), (nb, b.requires_grad))
-        else:  # loss
-            _, loss_kind, logits, targets, extra, out = rec
-            src = resolve(logits)
-            if logits.ndim != 2:
-                raise ReplayUnsupported("losses replay on 2-D logits only")
-            tkey = key_for(targets, "loss targets")
-            if loss_kind == "sqerr":
-                node = _SqErrLoss(logits, float(extra))
-                input_sites.append((node, "targets", tkey,
-                                    np.asarray(targets).dtype))
-            else:
-                weighted = extra is not None
-                cls = (_HardCELoss if loss_kind == "cross_entropy"
-                       else _SoftCELoss)
-                node = cls(logits, weighted)
-                input_sites.append((node, "targets", tkey, None))
-                if weighted:
-                    wkey = key_for(extra, "loss sample weights")
-                    input_sites.append((node, "weights", wkey, None))
-            wire(node, "z", src)
-            node._src = src
-            node._src_rg = logits.requires_grad
-        node.index = idx
-        node.requires_grad = bool(rec[-1].requires_grad) and train
+        idx, (_, op, eager, out, operands) = entry
+        if op.guard is not None and tid not in claimed:
+            raise ReplayUnsupported(f"{op.name} called outside its layer")
+        node = _Node(op, eager, idx, bool(out.requires_grad) and train)
+        for name, operand in zip(op.inputs, operands):
+            src = resolve(operand)
+            wire(node, name, src)
+            node.srcs.append((src, operand.requires_grad))
+        for name in op.data:
+            value = getattr(eager, name)
+            if value is not None:
+                input_sites.append((node.s, name,
+                                    key_for(value, f"{op.name} {name}"),
+                                    np.asarray(value).dtype))
         nodes[tid] = node
         built.append(node)
         return node
@@ -980,92 +434,64 @@ def _compile(records: List[tuple], root: Tensor,
     if train and not root_node.requires_grad:
         raise ReplayUnsupported("loss does not require gradients")
 
-    # Every traced leaf-module call must be reachable from the root: a call
-    # the plan would skip could have side effects (dropout RNG draws,
-    # batch-norm running stats) that eager execution performs.
-    for idx, rec in enumerate(records):
-        if rec[0] == "module" and type(rec[1]) in _MODULE_KERNELS \
-                and rec[3] is not rec[2] and id(rec[3]) not in nodes:
+    # Every traced layer call must be reachable from the root: a call the
+    # plan would skip could have side effects (dropout RNG draws, batch-norm
+    # running stats) that eager execution performs.
+    for tid, layer in claimed.items():
+        if tid not in nodes:
             raise ReplayUnsupported(
-                f"traced {type(rec[1]).__name__} call is not reachable "
-                "from the loss")
+                f"traced {layer} call is not reachable from the loss")
 
     built.sort(key=lambda n: n.index)
-    forwards = [node.forward for node in built]
+    forwards = [(node.op.forward, node.s) for node in built]
 
-    backwards: List[Callable] = []
+    backwards: List[tuple] = []
+    # Gradient targets by the id of the node or parameter they belong to.
+    targets: Dict[int, np.ndarray] = {}
     if train:
         # Gradient buffers: one per node that participates in the backward.
         for node in built:
             if node.requires_grad:
-                node.grad = (np.ones_like(node.out) if node is root_node
-                             else np.empty_like(node.out))
-        # Deposit wiring in backward-execution order: the first contribution
-        # to each target writes it, later ones accumulate — exactly the
-        # eager engine's copy-then-add ordering.
-        written = set()
-        param_targets: Dict[int, np.ndarray] = {}
+                node.grad = (np.ones_like(node.s.out) if node is root_node
+                             else np.empty_like(node.s.out))
 
-        def assign(node, prefix: str, src, src_rg: bool,
-                   needs_tmp: bool = False) -> None:
-            # ``needs_tmp`` marks kernels whose accumulate path stages into
-            # a private ``*_tmp`` buffer; the others (losses, add/mul,
-            # batch-norm input grads) reuse their own scratch buffers.
-            if isinstance(src, _InputNode) or not src_rg:
-                return  # slot stays None
-            target = src.grad
-            acc = id(target) in written
-            written.add(id(target))
-            setattr(node, prefix, target)
-            setattr(node, prefix + "_acc", acc)
-            if acc and needs_tmp:
-                setattr(node, prefix + "_tmp", np.empty_like(target))
+        def deposit(vjp, owner, target, param=None) -> tuple:
+            # Deposit wiring in backward-execution order: the first
+            # contribution to each target writes it, later ones accumulate
+            # through a private scratch buffer — exactly the eager engine's
+            # copy-then-add ordering.
+            acc = id(owner) in targets
+            target = targets.setdefault(id(owner), target)
+            return (vjp, target, np.empty_like(target) if acc else None,
+                    param)
 
-        def assign_param(node, prefix: str, param) -> None:
-            if param is None or not param.requires_grad:
-                return
-            pid = id(param)
-            acc = pid in param_targets
-            if not acc:
-                target = (optimizer.grad_view_for(param)
-                          if optimizer is not None else None)
-                if target is None:
-                    target = np.empty_like(param.data)
-                param_targets[pid] = target
-            setattr(node, prefix, param_targets[pid])
-            setattr(node, prefix + "_acc", acc)
-            if acc:
-                setattr(node, prefix + "_tmp", np.empty_like(param.data))
+        def param_target(param) -> np.ndarray:
+            target = (optimizer.grad_view_for(param)
+                      if optimizer is not None else None)
+            return target if target is not None else np.empty_like(param.data)
 
         for node in reversed(built):
             if not node.requires_grad:
                 continue
-            if isinstance(node, _LinearStep):
-                assign_param(node, "gw", node.layer.weight)
-                assign_param(node, "gb", node.layer.bias)
-                assign(node, "gin", node._src, node._src_rg, needs_tmp=True)
-            elif isinstance(node, _BatchNormStep):
-                assign_param(node, "gb", node.layer.beta)
-                assign_param(node, "gg", node.layer.gamma)
-                assign(node, "gin", node._src, node._src_rg)
-            elif isinstance(node, (_ReLUStep, _TanhStep, _DropoutStep)):
-                assign(node, "gin", node._src, node._src_rg, needs_tmp=True)
-            elif isinstance(node, (_AddStep, _MulStep)):
-                (na, a_rg), (nb, b_rg) = node._srcs
-                assign(node, "ta", na, a_rg)
-                assign(node, "tb", nb, b_rg)
-            else:  # loss node
-                assign(node, "tz", node._src, node._src_rg)
-            backwards.append(node.backward)
+            op = node.op
+            deposits = []
+            for (src, src_rg), vjp in zip(node.srcs, op.vjps):
+                if src_rg and not isinstance(src, _InputNode):
+                    deposits.append(deposit(vjp, src, src.grad))
+            for name, vjp in zip(op.params, op.vjps[len(op.inputs):]):
+                param = getattr(node.s, name)
+                if param is not None and param.requires_grad:
+                    deposits.append(deposit(vjp, param, param_target(param),
+                                            param))
+            backwards.append((node.s, node.grad, tuple(deposits)))
 
     clear_grads: tuple = ()
     if train and optimizer is not None:
         clear_grads = tuple(p for p in optimizer.parameters
-                            if id(p) not in param_targets)
+                            if id(p) not in targets)
 
     return _CompiledPlan(forwards, backwards, input_sites, clear_grads,
-                         root_node, optimizer,
-                         isinstance(root_node, _LOSS_NODES))
+                         root_node.s, optimizer)
 
 
 # --------------------------------------------------------------------------- #
@@ -1513,10 +939,3 @@ class GraphReplay:
                 return self.model(Tensor(x)).data
         self._count_replay()
         return plan.run_forward(inputs)
-
-
-def compile_step(model: Module, optimizer: Optimizer,
-                 loss: str = "cross_entropy",
-                 enabled: Optional[bool] = None) -> GraphReplay:
-    """Build a :class:`GraphReplay` stepper for a static training loop."""
-    return GraphReplay(model, optimizer, loss=loss, enabled=enabled)

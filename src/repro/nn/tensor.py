@@ -20,6 +20,8 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .ops import ADD, MUL, RELU, TANH, _unbroadcast
+
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
 # --------------------------------------------------------------------------- #
@@ -48,19 +50,14 @@ _GRAD_MODE = threading.local()
 # ---------------------------------------------------------------------------- #
 # While a trace is active on the current thread, instrumented operations
 # append tagged records to the recording list: every ``Module.__call__``
-# appends ``("module", module, input, output)`` (see repro.nn.modules), the
-# traced tensor combinators append ``("add"/"mul", a, b, out)``, and the
-# fused losses append ``("loss", kind, logits, targets, extra, out)``.  The
-# replay compiler (:mod:`repro.nn.replay`) runs one eager training step under
-# this context and reconstructs the op DAG from the records.  Thread-local so
+# appends ``("module", module, input, output)`` (see repro.nn.modules), and
+# every op-table call (:func:`apply_op`) appends
+# ``("op", op, state, output, operands)``.  The replay compiler
+# (:mod:`repro.nn.replay`) runs one eager training step under this context
+# and reconstructs the op DAG from the records.  Thread-local so
 # the forwards a serving thread runs are never recorded into the trace of a
 # training loop on another thread.
 _TRACE = threading.local()
-
-
-def _trace_records():
-    """The active trace recording list on this thread, or None."""
-    return getattr(_TRACE, "records", None)
 
 
 @contextmanager
@@ -207,26 +204,6 @@ def _as_array(data: ArrayLike, dtype=None) -> np.ndarray:
     return np.asarray(data, dtype=dtype)
 
 
-def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    """Sum ``grad`` over the broadcast dimensions so it matches ``shape``.
-
-    NumPy broadcasting implicitly expands dimensions during the forward pass;
-    the corresponding backward pass must sum the gradient over those expanded
-    dimensions.
-    """
-    if grad.shape == shape:
-        return grad
-    # Sum over leading dims added by broadcasting.
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    # Sum over dims that were size-1 in the original shape.
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
 class Tensor:
     """A NumPy-backed tensor participating in reverse-mode autodiff.
 
@@ -333,18 +310,7 @@ class Tensor:
     # ------------------------------------------------------------------ #
     def __add__(self, other: ArrayLike) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
-        data = self.data + other.data
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad, self.shape))
-            other._accumulate(_unbroadcast(grad, other.shape))
-
-        out = Tensor._make(data, (self, other), backward)
-        # Inlined trace check (hot path: every eager add pays it).
-        records = getattr(_TRACE, "records", None)
-        if records is not None:
-            records.append(("add", self, other, out))
-        return out
+        return apply_op(ADD, (self, other))
 
     __radd__ = __add__
 
@@ -365,17 +331,7 @@ class Tensor:
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
-        data = self.data * other.data
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad * other.data, self.shape))
-            other._accumulate(_unbroadcast(grad * self.data, other.shape))
-
-        out = Tensor._make(data, (self, other), backward)
-        records = getattr(_TRACE, "records", None)
-        if records is not None:
-            records.append(("mul", self, other, out))
-        return out
+        return apply_op(MUL, (self, other))
 
     __rmul__ = __mul__
 
@@ -438,12 +394,7 @@ class Tensor:
         return self ** 0.5
 
     def tanh(self) -> "Tensor":
-        data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * (1.0 - data ** 2))
-
-        return Tensor._make(data, (self,), backward)
+        return apply_op(TANH, (self,))
 
     def sigmoid(self) -> "Tensor":
         data = 1.0 / (1.0 + np.exp(-self.data))
@@ -454,13 +405,7 @@ class Tensor:
         return Tensor._make(data, (self,), backward)
 
     def relu(self) -> "Tensor":
-        mask = self.data > 0
-        data = self.data * mask
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
-
-        return Tensor._make(data, (self,), backward)
+        return apply_op(RELU, (self,))
 
     def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
         mask = self.data > 0
@@ -596,9 +541,12 @@ class Tensor:
             return
         nodes = self._topo
         if nodes is None:
-            # Collect reachable op-nodes (leaves carry no backward closure and
-            # never need visiting) and order them by descending creation stamp.
-            nodes = [self]
+            # Collect the op-nodes reachable below this root (leaves carry no
+            # backward closure and never need visiting) and order them by
+            # descending creation stamp.  The root itself stays out of its
+            # own cache: a self-reference would make every graph a reference
+            # cycle, freed only by the cyclic GC rather than when dropped.
+            nodes = []
             seen = {id(self)}
             pending = [self]
             while pending:
@@ -609,6 +557,7 @@ class Tensor:
                         pending.append(parent)
             nodes.sort(key=_creation_stamp, reverse=True)
             self._topo = nodes
+        self._backward(self.grad)
         for node in nodes:
             if node.grad is not None:
                 node._backward(node.grad)
@@ -631,6 +580,39 @@ class Tensor:
 
 def _creation_stamp(node: Tensor) -> int:
     return node._seq
+
+
+def apply_op(op, operands: Tuple[Optional[Tensor], ...], **state) -> Tensor:
+    """Run an op-table entry eagerly: its forward kernel on fresh buffers,
+    one tape node whose backward calls the entry's VJPs, and a trace record.
+
+    ``operands`` are aligned with ``op.inputs + op.params`` (None for an
+    absent optional parameter such as a missing bias); ``state`` carries the
+    op's other fields (loss targets, the owning layer, ...).
+    """
+    s = op.State()
+    s.__dict__ = state
+    for name, tensor in zip(op.inputs, operands):
+        setattr(s, name, tensor.data)
+    for name, tensor in zip(op.params, operands[len(op.inputs):]):
+        setattr(s, name, tensor)
+    op.forward(s)
+    vjps = op.vjps
+
+    def backward(grad: np.ndarray) -> None:
+        for tensor, vjp in zip(operands, vjps):
+            if tensor is not None and tensor.requires_grad:
+                tensor._accumulate_owned(vjp(s, grad, None))
+
+    out = Tensor._make(s.out, tuple(t for t in operands if t is not None),
+                       backward)
+    # Downstream ops (and a replay plan's buffers) see the engine-dtype data.
+    s.out = out.data
+    # Inlined trace check (hot path: every eager op pays it).
+    records = getattr(_TRACE, "records", None)
+    if records is not None:
+        records.append(("op", op, s, out, operands))
+    return out
 
 
 

@@ -249,15 +249,19 @@ def main(argv=None) -> int:
     httpd = make_http_server(app, host=args.host, port=args.port)
     host, port = httpd.server_address[:2]
     count = len(models)
-    print(f"serving {count} model(s) on http://{host}:{port} "
-          f"(POST /predict, GET /models, /stats, /healthz, /capacity)",
-          flush=True)
     try:
+        # Inside the try: a SIGTERM sent as soon as this line is read must
+        # still take the teardown below.
+        print(f"serving {count} model(s) on http://{host}:{port} "
+              f"(POST /predict, GET /models, /stats, /healthz, /capacity)",
+              flush=True)
         httpd.serve_forever()
     except KeyboardInterrupt:
         print("shutting down...", flush=True)
     finally:
-        httpd.shutdown()
+        # serve_forever ran (if at all) on this thread and has returned, so
+        # there is no loop to stop; release the listening socket.
+        httpd.server_close()
         if fleet is not None:
             fleet.close()
         else:

@@ -28,10 +28,10 @@ is versioned; schema-1 artifacts (end models from earlier exports) still
 load, unknown versions are loudly rejected.
 
 Serving forwards are **compiled**: at load time the rebuilt Linear/ReLU
-chain is flattened into a plan of raw NumPy kernels that replay the engine's
-ops bit-for-bit (``x @ W``, ``+= b``, ``x * (x > 0)``) in the artifact's own
-dtype.  The compiled path touches no process-global engine state, so
-concurrent forwards need no lock — the serving threads (one batcher drain
+chain is flattened into a plan of the op table's ``linear`` and ``relu``
+forward kernels (:mod:`repro.nn.ops`), the engine's ops bit-for-bit, in the
+artifact's own dtype.  The compiled path touches no process-global engine
+state, so concurrent forwards need no lock — the serving threads (one batcher drain
 thread per loaded model, plus any caller of ``predict_proba``) never wait on
 each other.  An unexpected architecture falls back to the tape-based module
 forward under a global lock (the engine's default dtype is process-global).
@@ -53,7 +53,8 @@ from ..distill.end_model import EndModel
 from ..ensemble.voting import TagletEnsemble, renormalized_mean
 from ..modules.base import ModelTaglet, Taglet
 from ..modules.zsl_kg import ZslKgTaglet
-from ..nn.modules import Identity, Linear, MLP, ReLU, Sequential
+from ..nn.modules import MLP, Identity, Sequential
+from ..nn.ops import LINEAR, RELU
 from ..nn.serialization import (load_state_dict, save_state_dict,
                                 state_dict_digest, state_dict_manifest,
                                 validate_state_dict)
@@ -351,31 +352,28 @@ def _compile_forward(model: ClassificationModel) -> Optional[
         Callable[[np.ndarray], np.ndarray]]:
     """Flatten a Linear/ReLU model into a raw-NumPy kernel plan.
 
-    The plan replays the engine's inference ops bit-for-bit — ``x @ W`` then
-    ``+= b`` (:func:`repro.nn.functional.linear`) and ``x * (x > 0)``
-    (``Tensor.relu``) — in the weights' own dtype, touching no process-global
+    The plan runs the op table's ``linear`` and ``relu`` forward kernels
+    (:mod:`repro.nn.ops`) — the engine's inference ops, bit for bit — on
+    fresh buffers in the weights' own dtype, touching no process-global
     engine state: no tape, no default-dtype flip, no lock.  Concurrent calls
-    are safe (the plan only reads the weight arrays), so the batcher threads
-    of different models never serialize.  Returns ``None`` when the model
-    contains a layer the compiler does not know, and the servable falls back
-    to the locked module forward.
+    are safe (each call allocates its own buffers and only reads the
+    weights), so the batcher threads of different models never serialize.
+    Returns ``None`` when the model contains a layer the compiler does not
+    know, and the servable falls back to the locked module forward.
     """
-    steps: List[Tuple[str, Optional[np.ndarray], Optional[np.ndarray]]] = []
+    steps: List[Tuple[object, dict]] = []
 
     def add(module) -> bool:
-        if isinstance(module, Linear):
-            bias = module.bias.data if module.bias is not None else None
-            steps.append(("linear", module.weight.data, bias))
-        elif isinstance(module, ReLU):
-            steps.append(("relu", None, None))
-        elif isinstance(module, Identity):
-            pass
-        elif isinstance(module, Sequential):
+        if isinstance(module, Sequential):
             return all(add(layer) for layer in module.layers)
-        elif isinstance(module, MLP):
+        if isinstance(module, MLP):
             return add(module.net)
-        else:
+        if isinstance(module, Identity):
+            return True
+        op = type(module).op
+        if op is not LINEAR and op is not RELU:
             return False
+        steps.append((op, {name: getattr(module, name) for name in op.params}))
         return True
 
     encoder = model.encoder
@@ -386,13 +384,12 @@ def _compile_forward(model: ClassificationModel) -> Optional[
 
     def forward(features: np.ndarray) -> np.ndarray:
         out = features
-        for kind, weight, bias in steps:
-            if kind == "linear":
-                out = out @ weight
-                if bias is not None:
-                    out += bias
-            else:
-                out = out * (out > 0)
+        for op, params in steps:
+            state = op.State()
+            state.__dict__.update(params)
+            state.x = out
+            op.forward(state)
+            out = state.out
         return out
 
     return forward

@@ -100,7 +100,15 @@ def run_at_quantum(fn, rows: np.ndarray, quantum: int) -> np.ndarray:
 class BatchingConfig:
     """Knobs of the dynamic micro-batching engine.
 
-    ``max_batch_size`` bounds the rows fused into one forward;
+    ``max_batch_size`` bounds the rows fused into one forward, and is also
+    the quantum every forward runs at: smaller batches are padded and
+    larger requests chunked to exactly ``max_batch_size`` rows.  BLAS gemm
+    kernels pick different reduction orders for different row counts, so a
+    row's result is a pure function of (row, weights, batch rows) — fixing
+    the row count makes every served prediction bit-for-bit reproducible
+    regardless of what traffic it happened to share a batch with, equal to
+    offline inference at the same quantum
+    (``ServableModel.predict_proba(x, batch_size=max_batch_size)``).
     ``max_latency_ms`` bounds how long the first request of a batch waits
     for company.  ``max_batch_size=1`` degenerates to one forward per
     request (the unbatched baseline the serving benchmark compares against).
@@ -110,18 +118,6 @@ class BatchingConfig:
     max_latency_ms: float = 2.0
     #: LRU prediction-cache capacity in entries; 0 disables caching.
     cache_size: int = 1024
-    #: queue capacity; 0 means unbounded.  When bounded, ``submit`` blocks
-    #: once the backlog is full (back-pressure instead of memory growth).
-    max_queue_size: int = 0
-    #: run every forward at *exactly* ``max_batch_size`` rows, padding
-    #: smaller batches and chunking larger ones.  BLAS gemm kernels pick
-    #: different reduction orders for different row counts, so a row's
-    #: result is a pure function of (row, weights, batch rows) — fixing the
-    #: row count makes every served prediction bit-for-bit reproducible
-    #: regardless of what traffic it happened to share a batch with, equal
-    #: to offline inference at the same quantum
-    #: (``ServableModel.predict_proba(x, batch_size=max_batch_size)``).
-    pad_to_max_batch: bool = True
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
@@ -273,23 +269,17 @@ class _RequestQueue:
     Orders by ``(-priority, enqueue_seq)``: higher priorities drain first,
     FIFO within a priority level.  The shutdown sentinel sorts *after*
     every request, so by the time the drain thread pops it the queue holds
-    no unanswered work.  ``maxsize=0`` means unbounded; when bounded,
-    ``put`` blocks (back-pressure) unless forced.
+    no unanswered work.  The queue is unbounded.
     """
 
-    def __init__(self, maxsize: int = 0):
-        self._maxsize = maxsize
+    def __init__(self):
         self._heap: List[tuple] = []
         self._seq = 0
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
-        self._not_full = threading.Condition(self._lock)
 
-    def put(self, item, force: bool = False) -> None:
+    def put(self, item) -> None:
         with self._lock:
-            if self._maxsize > 0 and not force:
-                while len(self._heap) >= self._maxsize:
-                    self._not_full.wait()
             self._seq += 1
             # Keys are unique (the sequence number is embedded), so heap
             # comparisons never fall through to the item itself.
@@ -303,8 +293,7 @@ class _RequestQueue:
 
     def put_back(self, request: "_Request") -> None:
         """Re-insert a popped request under its original key (it keeps its
-        place in line).  Never blocks — the drain thread handing work back
-        must not deadlock against a full queue."""
+        place in line)."""
         with self._lock:
             heapq.heappush(self._heap, (request.sort_key, request))
             self._not_empty.notify()
@@ -324,8 +313,6 @@ class _RequestQueue:
                         raise queue.Empty
                     self._not_empty.wait(remaining)
             _, item = heapq.heappop(self._heap)
-            if self._maxsize > 0:
-                self._not_full.notify()
             return item
 
     def drain_pending(self) -> List["_Request"]:
@@ -340,8 +327,6 @@ class _RequestQueue:
             self._heap = [(key, item) for key, item in self._heap
                           if item is _SHUTDOWN]
             heapq.heapify(self._heap)
-            if self._maxsize > 0:
-                self._not_full.notify_all()
             return requests
 
     def __len__(self) -> int:
@@ -378,7 +363,7 @@ class MicroBatcher:
         self.input_dim = input_dim
         self.dtype = np.dtype(dtype) if dtype is not None else None
         self._cache = _LRUCache(self.config.cache_size)
-        self._queue = _RequestQueue(self.config.max_queue_size)
+        self._queue = _RequestQueue()
         self._stats = BatcherStats()
         self._stats_lock = threading.Lock()
         self._closed = False
@@ -507,7 +492,7 @@ class MicroBatcher:
             if not drain:
                 self._shed(self._queue.drain_pending())
             # The sentinel sorts after every request already queued.
-            self._queue.put(_SHUTDOWN, force=True)
+            self._queue.put(_SHUTDOWN)
         self._worker.join(timeout=timeout)
         # A thread that did not exit in time will never serve what is left.
         self._shed(self._queue.drain_pending())
@@ -557,9 +542,8 @@ class MicroBatcher:
         A request whose rows would push the batch past ``max_batch_size`` is
         handed back to the queue (keeping its place in line) and opens the
         next batch instead — a batch never overshoots the configured max.
-        Only a single request larger than the whole quantum runs alone:
-        chunked to the quantum by ``run_at_quantum`` when
-        ``pad_to_max_batch`` is on, as one oversized forward otherwise.
+        Only a single request larger than the whole quantum runs alone,
+        chunked to the quantum by ``run_at_quantum``.
         """
         batch = [first]
         rows = first.rows
@@ -578,7 +562,7 @@ class MicroBatcher:
                 break
             if item is _SHUTDOWN:
                 # Re-enqueue so the outer loop sees it after this batch.
-                self._queue.put(_SHUTDOWN, force=True)
+                self._queue.put(_SHUTDOWN)
                 break
             if item.expired():
                 self._expire(item)
@@ -591,9 +575,9 @@ class MicroBatcher:
         return batch
 
     def _forward(self, fused: np.ndarray) -> np.ndarray:
-        """One model call — at the fixed batch quantum when padding is on."""
+        """One model call at the fixed batch quantum."""
         quantum = self.config.max_batch_size
-        if not self.config.pad_to_max_batch or len(fused) == quantum:
+        if len(fused) == quantum:
             return self.predict_fn(fused)
         return run_at_quantum(self.predict_fn, fused, quantum)
 

@@ -40,7 +40,7 @@ Model assumptions (also in ``docs/serving.md``):
 * Poisson-ish arrivals at rate λ; batches form by waiting at most
   ``max_latency_ms`` for company, so the expected fill is
   ``b = min(B, 1 + λ·w)`` with gather window ``w = min(L, (B-1)/λ)``.
-* With ``pad_to_max_batch`` (the default) every forward costs ``s(B)``
+* Every forward runs padded to the batch quantum, so it costs ``s(B)``
   regardless of fill — the price of bitwise determinism is part of the
   model, not noise around it.
 * Each batcher drains on one thread, so forwards overlap only across fleet
@@ -265,11 +265,9 @@ class CapacityModel:
         self.cpus = max(1, int(cpus))
         self.servers = min(self.replicas, self.cpus)
 
-    def _service_s(self, config: BatchingConfig, fill: float) -> float:
-        """Seconds one forward costs at the given expected fill."""
-        if config.pad_to_max_batch:
-            return self.service.forward_s(config.max_batch_size)
-        return self.service.forward_s(int(math.ceil(fill)))
+    def _service_s(self, config: BatchingConfig) -> float:
+        """Seconds one forward costs (always padded to the quantum)."""
+        return self.service.forward_s(config.max_batch_size)
 
     def capacity(self, config: BatchingConfig) -> float:
         """Maximum sustainable single-row request rate (req/s).
@@ -280,7 +278,7 @@ class CapacityModel:
         regardless of the server count.
         """
         batch = config.max_batch_size
-        per_request = (self._service_s(config, batch) / (batch * self.servers)
+        per_request = (self._service_s(config) / (batch * self.servers)
                        + self.service.overhead_s)
         return 1.0 / per_request
 
@@ -294,24 +292,15 @@ class CapacityModel:
         window_s = config.max_latency_ms / 1000.0
         capacity = self.capacity(config)
         utilization = rate / capacity
+        service_s = self._service_s(config)
 
         if utilization >= 1.0:
-            # Saturated: the queue grows until back-pressure, deadlines, or
-            # admission control shed the excess.  Latency is then set by
-            # the queue bound, not by the arrival rate.
-            fill = float(batch)
-            service_s = self._service_s(config, fill)
-            if config.max_queue_size > 0:
-                # A full bounded queue drains in depth/capacity seconds.
-                wait_s = config.max_queue_size / capacity
-                p50 = p99 = ((self.service.overhead_s + wait_s + service_s)
-                             * 1000.0)
-            else:
-                p50 = p99 = float("inf")
+            # Saturated: the unbounded queue grows until deadlines or
+            # admission control shed the excess, so latency diverges.
             return CapacityPrediction(
                 arrival_rate=rate, capacity=capacity, throughput=capacity,
-                utilization=utilization, batch_fill=fill,
-                p50_ms=p50, p99_ms=p99,
+                utilization=utilization, batch_fill=float(batch),
+                p50_ms=float("inf"), p99_ms=float("inf"),
                 shed_rate=1.0 - capacity / rate)
 
         # Below saturation.  The batch opener waits for company at most
@@ -321,17 +310,10 @@ class CapacityModel:
         # Batch fill has two sources: company gathered during the window,
         # and backlog accumulated while a server ran the previous forward
         # (arrivals during one service+gather cycle open the next batch
-        # together).  The cycle term is a fixed point because the service
-        # time depends on the fill when padding is off; a few damped
-        # iterations converge.
-        fill = min(float(batch), 1.0 + rate * gather_s)
-        for _ in range(8):
-            cycle_s = self._service_s(config, fill) + gather_s
-            target = min(float(batch),
-                         max(1.0 + rate * gather_s,
-                             rate * cycle_s / self.servers))
-            fill = 0.5 * fill + 0.5 * target
-        service_s = self._service_s(config, fill)
+        # together).
+        fill = min(float(batch),
+                   max(1.0 + rate * gather_s,
+                       rate * (service_s + gather_s) / self.servers))
         # Queueing for a free server, at the *capacity* utilization — fill
         # self-regulates (a deeper backlog makes fuller batches), so the
         # long-run busy fraction is rate/capacity, not the instantaneous
@@ -442,7 +424,7 @@ class AdmissionController:
         #: the latency floor a request pays even on an empty queue
         self.service_floor_ms = (
             model.service.overhead_s
-            + model._service_s(config, config.max_batch_size)
+            + model._service_s(config)
             + config.max_latency_ms / 1000.0) * 1000.0
         if max_delay_ms is None and slo is not None and slo.p99_ms is not None:
             # Budget = the SLO's p99 minus the unavoidable service floor.

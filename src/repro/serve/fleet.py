@@ -30,9 +30,9 @@ predictions stay bit-identical to offline inference at the serving
 quantum throughout, and capacity never drops by more than one replica.
 
 Determinism note: every worker runs the same fixed-quantum batching
-(``pad_to_max_batch``), so a prediction's bits do not depend on *which*
-replica served it — routing, retries, and failovers are invisible in the
-output, which is what makes retry-on-replica-death safe.
+(every forward padded to ``max_batch_size``), so a prediction's bits do not
+depend on *which* replica served it — routing, retries, and failovers are
+invisible in the output, which is what makes retry-on-replica-death safe.
 """
 
 from __future__ import annotations

@@ -1,5 +1,8 @@
 """Tests for the ZSL-KG module."""
 
+import copy
+import gc
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,12 @@ from repro.nn import Tensor
 
 
 FAST_CONFIG = ZslKgConfig()
+
+
+def _quick(**fields) -> ZslKgConfig:
+    """A pretrain small enough to run several times per test."""
+    return ZslKgConfig(pretrain_epochs=3, max_training_concepts=40,
+                       images_per_prototype=2, **fields)
 
 
 class TestGraphClassEncoder:
@@ -20,16 +29,14 @@ class TestGraphClassEncoder:
 
 class TestZslKgModule:
     def test_zero_shot_above_chance(self, module_input, fmd_test_data):
-        ZslKgModule._pretrained_cache.clear()
+        ZslKgModule.pretrained_store.clear()
         taglet = ZslKgModule(FAST_CONFIG).train(module_input)
         accuracy = taglet.accuracy(*fmd_test_data)
         assert accuracy > 1.5 / module_input.num_classes
 
     def test_does_not_use_labeled_data(self, module_input, fmd_test_data):
         """Shuffling the labels must not change the taglet: it is zero-shot."""
-        import copy
-
-        ZslKgModule._pretrained_cache.clear()
+        ZslKgModule.pretrained_store.clear()
         module = ZslKgModule(FAST_CONFIG)
         taglet_a = module.train(module_input)
 
@@ -45,16 +52,47 @@ class TestZslKgModule:
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(7))
 
     def test_pretraining_is_cached(self, module_input):
-        ZslKgModule._pretrained_cache.clear()
+        ZslKgModule.pretrained_store.clear()
         module = ZslKgModule(FAST_CONFIG)
         module.train(module_input)
-        assert len(ZslKgModule._pretrained_cache) == 1
+        assert len(ZslKgModule.pretrained_store) == 1
         module.train(module_input)
-        assert len(ZslKgModule._pretrained_cache) == 1
+        assert len(ZslKgModule.pretrained_store) == 1
+
+    def test_pretrain_store_keys_on_config_and_seed(self, module_input):
+        # Another config or seed on the same backbone and graph must not get
+        # the first run's state back.
+        store = ZslKgModule.pretrained_store
+        store.clear()
+        backbone, bundle = module_input.backbone, module_input.scads
+        small = ZslKgModule(_quick(hidden_dim=8))._pretrain(bundle, backbone,
+                                                              seed=7)
+        wide = ZslKgModule(_quick(hidden_dim=12))._pretrain(bundle, backbone,
+                                                              seed=7)
+        assert small["fc1.weight"].shape[1] == 8
+        assert wide["fc1.weight"].shape[1] == 12
+        reseeded = ZslKgModule(_quick(hidden_dim=8))._pretrain(
+            bundle, backbone, seed=8)
+        assert not np.array_equal(reseeded["fc1.weight"], small["fc1.weight"])
+        assert len(store) == 3
+        # The same inputs hit; a logit_scale change does not affect the key.
+        again = ZslKgModule(_quick(hidden_dim=8, logit_scale=2.0))._pretrain(
+            bundle, backbone, seed=7)
+        assert again is small
+        assert len(store) == 3
+
+    def test_pretrain_store_entries_die_with_the_backbone(self, module_input):
+        store = ZslKgModule.pretrained_store
+        store.clear()
+        bundle = module_input.scads
+        backbone = copy.copy(module_input.backbone)
+        ZslKgModule(_quick(hidden_dim=8))._pretrain(bundle, backbone, seed=0)
+        assert len(store) == 1
+        del backbone
+        gc.collect()
+        assert len(store) == 0
 
     def test_requires_scads(self, module_input):
-        import copy
-
         broken = copy.copy(module_input)
         broken.scads = None
         with pytest.raises(ValueError):

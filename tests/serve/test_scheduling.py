@@ -48,7 +48,7 @@ class TestDeadlines:
     def test_expired_request_fails_fast_and_skips_the_forward(self):
         model = GatedModel()
         config = BatchingConfig(max_batch_size=8, max_latency_ms=5,
-                                cache_size=0, pad_to_max_batch=False)
+                                cache_size=0)
         with MicroBatcher(model, config) as batcher:
             plug = batcher.submit(np.zeros(3))
             assert model.entered.wait(timeout=10)
@@ -82,7 +82,7 @@ class TestDeadlines:
         # deadline is still live), then the 150 ms gather window outlives
         # its 40 ms deadline.
         config = BatchingConfig(max_batch_size=8, max_latency_ms=150,
-                                cache_size=0, pad_to_max_batch=False)
+                                cache_size=0)
         with MicroBatcher(recording, config) as batcher:
             doomed = batcher.submit(np.full(3, 7.0), deadline_ms=40)
             survivor = batcher.submit(np.full(3, 9.0), deadline_ms=60_000)
